@@ -2,9 +2,8 @@
 // labelling (Algorithm 1), the LLC/page-cache simulators, the Formula-5
 // priority computation and raw edge streaming — plus the streaming-path
 // comparison this repo's perf trajectory is tracked by: scalar per-edge vs
-// block-batched vs block+pool streaming on a fig09-style 16-job concurrent
-// mix, written to BENCH_stream.json (override the path with
-// GRAPHM_BENCH_OUT).
+// block-batched streaming on a fig09-style 16-job mix, written to
+// BENCH_stream.json (override the path with GRAPHM_BENCH_OUT).
 //
 // Run with no arguments to execute the stream comparison and emit the JSON;
 // pass any google-benchmark flag (e.g. --benchmark_filter=.) to also run the
@@ -14,7 +13,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 
 #include "graph/generators.hpp"
 #include "graphm/chunk_table.hpp"
@@ -144,8 +142,7 @@ struct StreamMeasurement {
 
 StreamMeasurement run_stream_mode(const grid::GridStore& store,
                                   const std::vector<algos::JobSpec>& jobs,
-                                  runtime::Scheme scheme, bool use_blocks,
-                                  std::size_t threads) {
+                                  runtime::Scheme scheme, bool use_blocks) {
   // Best-of-5: per-chunk wall timers are at the mercy of the host scheduler
   // (under the concurrent scheme especially), and the fastest repetition is
   // the closest to the loop's true cost.
@@ -153,7 +150,6 @@ StreamMeasurement run_stream_mode(const grid::GridStore& store,
   for (int rep = 0; rep < 5; ++rep) {
     runtime::ExecutorConfig config;
     config.stream.use_blocks = use_blocks;
-    config.stream.num_stream_threads = threads;
     const auto metrics = runtime::run_jobs(scheme, store, jobs, config);
     StreamMeasurement sample;
     for (const auto& job : metrics.jobs) {
@@ -175,8 +171,8 @@ int stream_comparison() {
   // the GridGraph-C scheme (every job streams privately, so the measured loop
   // time is pure streaming). The scalar baseline reproduces the seed
   // end-to-end: ungrouped block layout AND the per-edge virtual loop — the
-  // configuration this PR replaced — so the speedups are the PR's perf
-  // trajectory. Only compute_ns (time inside the edge loops) enters the
+  // configuration the block path replaced — so the speedups are the block
+  // path's perf trajectory. Only compute_ns (time inside the edge loops) enters the
   // rates; simulated-platform bookkeeping runs outside the timers and is
   // identical across modes. A sequential-scheme pair is reported as well:
   // same loops, no 16-thread oversubscription jitter on the timers.
@@ -191,41 +187,21 @@ int stream_comparison() {
   const grid::GridStore store = grid::GridStore::open(path);
   const auto jobs = runtime::paper_mix(16, g.num_vertices(), 0x09);
 
-  const std::size_t pool_threads =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
   const auto concurrent = runtime::Scheme::kConcurrent;
-  const auto scalar = run_stream_mode(seed_store, jobs, concurrent, /*use_blocks=*/false, 1);
-  const auto block = run_stream_mode(store, jobs, concurrent, /*use_blocks=*/true, 1);
-  // With one hardware thread the engine creates no pool, so block+pool is the
-  // same configuration as block — reuse the measurement instead of reporting
-  // scheduler noise as a difference.
-  const auto block_pool =
-      pool_threads <= 1
-          ? block
-          : run_stream_mode(store, jobs, concurrent, /*use_blocks=*/true, pool_threads);
+  const auto scalar = run_stream_mode(seed_store, jobs, concurrent, /*use_blocks=*/false);
+  const auto block = run_stream_mode(store, jobs, concurrent, /*use_blocks=*/true);
 
   const auto sequential = runtime::Scheme::kSequential;
-  const auto scalar_seq =
-      run_stream_mode(seed_store, jobs, sequential, /*use_blocks=*/false, 1);
-  const auto block_pool_seq =
-      run_stream_mode(store, jobs, sequential, /*use_blocks=*/true, pool_threads);
+  const auto scalar_seq = run_stream_mode(seed_store, jobs, sequential, /*use_blocks=*/false);
+  const auto block_seq = run_stream_mode(store, jobs, sequential, /*use_blocks=*/true);
 
-  // Deterministic parallel PageRank: the network-intensive headline workload
-  // used to be serial-by-contract (fp summation order); striped accumulation
-  // lets it fan out across the pool with bit-identical results, so the
-  // multi-thread column below is the algorithm the fig09 mix is heaviest on
-  // actually using the workers. Serial-path measurement guards against
-  // regression from the striping itself (same config as before the change,
-  // one thread, sequential scheme — clean timers).
+  // PageRank alone, the network-intensive workload the fig09 mix is heaviest
+  // on, under the sequential scheme (clean timers): guards the block path's
+  // partition-grouped accumulation against regressing.
   const auto pagerank_jobs =
       runtime::uniform_mix(algos::AlgorithmKind::kPageRank, 4, g.num_vertices(), 7);
   const auto pagerank_serial =
-      run_stream_mode(store, pagerank_jobs, sequential, /*use_blocks=*/true, 1);
-  const auto pagerank_pool =
-      pool_threads <= 1
-          ? pagerank_serial
-          : run_stream_mode(store, pagerank_jobs, sequential, /*use_blocks=*/true,
-                            pool_threads);
+      run_stream_mode(store, pagerank_jobs, sequential, /*use_blocks=*/true);
 
   const auto speedup = [](const StreamMeasurement& a, const StreamMeasurement& b) {
     return a.edges_per_sec == 0.0 ? 0.0 : b.edges_per_sec / a.edges_per_sec;
@@ -255,36 +231,25 @@ int stream_comparison() {
                "  \"baseline\": \"seed configuration: ungrouped grid layout + "
                "per-edge virtual dispatch + per-edge atomic frontier test, "
                "single-threaded\",\n");
-  std::fprintf(f, "  \"pool_threads\": %zu,\n", pool_threads);
   emit("scalar", scalar, ",");
   emit("block", block, ",");
-  emit("block_pool", block_pool, ",");
   emit("scalar_sequential", scalar_seq, ",");
-  emit("block_pool_sequential", block_pool_seq, ",");
+  emit("block_sequential", block_seq, ",");
   emit("pagerank_serial", pagerank_serial, ",");
-  emit("pagerank_pool", pagerank_pool, ",");
   std::fprintf(f, "  \"speedup_block_vs_scalar\": %.2f,\n", speedup(scalar, block));
-  std::fprintf(f, "  \"speedup_block_pool_vs_scalar\": %.2f,\n",
-               speedup(scalar, block_pool));
-  std::fprintf(f, "  \"speedup_block_pool_vs_scalar_sequential\": %.2f,\n",
-               speedup(scalar_seq, block_pool_seq));
-  std::fprintf(f, "  \"speedup_pagerank_pool_vs_serial\": %.2f\n",
-               speedup(pagerank_serial, pagerank_pool));
+  std::fprintf(f, "  \"speedup_block_vs_scalar_sequential\": %.2f\n",
+               speedup(scalar_seq, block_seq));
   std::fprintf(f, "}\n");
   if (std::fclose(f) != 0) {
     std::fprintf(stderr, "short write to %s\n", out_path);
     return 1;
   }
 
-  std::printf("stream throughput (edges/sec): scalar %.3g, block %.3g (%.2fx), "
-              "block+pool(%zu) %.3g (%.2fx); sequential-scheme pair %.3g -> %.3g "
-              "(%.2fx); pagerank serial %.3g -> pool %.3g (%.2fx) -> %s\n",
+  std::printf("stream throughput (edges/sec): scalar %.3g, block %.3g (%.2fx); "
+              "sequential-scheme pair %.3g -> %.3g (%.2fx); pagerank %.3g -> %s\n",
               scalar.edges_per_sec, block.edges_per_sec, speedup(scalar, block),
-              pool_threads, block_pool.edges_per_sec, speedup(scalar, block_pool),
-              scalar_seq.edges_per_sec, block_pool_seq.edges_per_sec,
-              speedup(scalar_seq, block_pool_seq), pagerank_serial.edges_per_sec,
-              pagerank_pool.edges_per_sec, speedup(pagerank_serial, pagerank_pool),
-              out_path);
+              scalar_seq.edges_per_sec, block_seq.edges_per_sec,
+              speedup(scalar_seq, block_seq), pagerank_serial.edges_per_sec, out_path);
   return 0;
 }
 

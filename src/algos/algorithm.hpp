@@ -17,9 +17,9 @@
 // blocks and the algorithm runs a tight non-virtual inner loop (one virtual
 // dispatch per block instead of per edge, frontier words loaded 64 sources at
 // a time). The per-edge process_edge remains the semantic definition and the
-// default block implementation falls back to it. See docs/streaming.md for
-// the full contract, including the thread-safety rules parallel_safe()
-// opts into.
+// default block implementation falls back to it. Every call for one job
+// comes from that job's own thread. See docs/streaming.md for the full
+// contract.
 #pragma once
 
 #include <cstdint>
@@ -80,75 +80,20 @@ class StreamingAlgorithm {
   /// implementation gates each edge with active.get and calls process_edge —
   /// the scalar fallback the equivalence tests pin overrides against.
   /// Overrides must be observably identical to that fallback.
-  ///
-  /// When parallel_safe() is true and dst_stripes() == 0, engines may invoke
-  /// this concurrently from several worker threads on disjoint blocks of the
-  /// same iteration. Striped algorithms (dst_stripes() > 0) are fanned out
-  /// via process_edge_block_striped instead; their plain block calls stay
-  /// serial.
   virtual graph::EdgeCount process_edge_block(const graph::Edge* edges, graph::EdgeCount n,
                                               const util::AtomicBitmap& active);
 
-  /// True iff the engine may fan this job's relaxations across a thread pool
-  /// without changing the result at any thread count. Two ways to qualify:
-  ///
-  ///  * dst_stripes() == 0 — concurrent process_edge_block / process_edge
-  ///    calls on disjoint blocks are safe AND leave a state independent of
-  ///    the interleaving (order-independent relaxations: atomic min,
-  ///    idempotent writes).
-  ///  * dst_stripes() > 0 — striped accumulation: the engine partitions the
-  ///    fan-out by destination stripe (process_edge_block_striped), never by
-  ///    block, so an order-sensitive reduction stays deterministic. See below.
-  [[nodiscard]] virtual bool parallel_safe() const { return false; }
-
   // -------------------------------------------------------------------------
-  // Striped accumulation — the deterministic parallel mode for algorithms
-  // whose relaxation is an order-sensitive reduction (PageRank's
-  // floating-point `next[dst] += contribution[src]`).
-  //
-  // Ownership rule: destination vertices are split into dst_stripes() fixed
-  // stripes — a pure function of the graph, never of the thread count — and
-  // each stripe is relaxed by exactly one task that scans the range in
-  // stream order. A given destination's contributions therefore arrive in
-  // exactly the order the serial scan would deliver them, no matter how many
-  // workers the engine owns or which worker picks up which stripe, so the
-  // result is bit-identical to the serial block path at any thread count.
-  //
-  // Partition grouping: engines additionally announce each partition with
+  // Partition grouping: engines announce each partition with
   // begin_partition() before streaming its chunks. Algorithms that
   // accumulate use it to keep one partial accumulator per partition and
   // merge them in ascending partition order at iteration_end — a fixed-shape
   // reduction keyed by the graph layout, not by arrival order — so the
-  // result is also independent of the order partitions are visited in
-  // (GraphM's scheduler reorders loads; mid-round attaches rotate a job's
-  // traversal). Drivers that never call begin_partition (the engine-free
-  // reference oracle, the job profiler) get the flat single-group behaviour.
+  // result is independent of the order partitions are visited in (GraphM's
+  // scheduler reorders loads; mid-round attaches rotate a job's traversal).
+  // Drivers that never call begin_partition (the engine-free reference
+  // oracle, the job profiler) get the flat single-group behaviour.
   // -------------------------------------------------------------------------
-
-  /// Number of destination stripes for striped accumulation; 0 (default)
-  /// means the algorithm does not use the striped mode. Must be constant for
-  /// the lifetime of the instance and independent of any engine/thread
-  /// configuration.
-  [[nodiscard]] virtual std::uint32_t dst_stripes() const { return 0; }
-
-  /// Maps a destination vertex to its owning stripe, < dst_stripes(). Must be
-  /// a pure function of (dst, init-time inputs). Only meaningful when
-  /// dst_stripes() > 0.
-  [[nodiscard]] virtual std::uint32_t dst_stripe_of(graph::VertexId dst) const {
-    (void)dst;
-    return 0;
-  }
-
-  /// Streams a block like process_edge_block but relaxes only the edges whose
-  /// destination lies in `stripe` (source gating unchanged); returns the
-  /// number relaxed. Engines may call this concurrently for *different*
-  /// stripes of the same range; calls for the same stripe are serial and in
-  /// stream order. The default gates per edge via dst_stripe_of + process_edge
-  /// (the scalar fallback, observably identical to any override).
-  virtual graph::EdgeCount process_edge_block_striped(const graph::Edge* edges,
-                                                      graph::EdgeCount n,
-                                                      const util::AtomicBitmap& active,
-                                                      std::uint32_t stripe);
 
   /// Announces that the edges streamed until the next begin_partition (or
   /// iteration end) belong to partition `pid` of `num_partitions`. Called by

@@ -4,8 +4,6 @@
 // exploits).
 #pragma once
 
-#include <atomic>
-
 #include "algos/algorithm.hpp"
 
 namespace graphm::algos {
@@ -22,7 +20,6 @@ class Bfs final : public StreamingAlgorithm {
   void process_edge(const graph::Edge& e) override { relax(e.dst); }
   graph::EdgeCount process_edge_block(const graph::Edge* edges, graph::EdgeCount n,
                                       const util::AtomicBitmap& active) override;
-  [[nodiscard]] bool parallel_safe() const override { return true; }
   void iteration_end() override;
   [[nodiscard]] bool done() const override { return done_; }
   [[nodiscard]] std::pair<const void*, std::size_t> values_span() const override {
@@ -35,12 +32,11 @@ class Bfs final : public StreamingAlgorithm {
   static constexpr std::uint32_t kUnreached = 0xFFFFFFFFu;
 
  private:
-  /// Idempotent within an iteration (every writer stores the same level), so
-  /// concurrent block workers need no CAS — just atomic loads/stores.
+  /// Idempotent within an iteration (every write stores the same level), so
+  /// the outcome is independent of edge order.
   void relax(graph::VertexId dst) {
-    std::atomic_ref<std::uint32_t> level(levels_[dst]);
-    if (level.load(std::memory_order_relaxed) == kUnreached) {
-      level.store(current_level_ + 1, std::memory_order_relaxed);
+    if (levels_[dst] == kUnreached) {
+      levels_[dst] = current_level_ + 1;
       next_frontier_.set(dst);
     }
   }

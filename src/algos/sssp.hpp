@@ -4,13 +4,10 @@
 //
 // Relaxation is Jacobi-style: candidates are computed from the previous
 // iteration's distances (frozen in prev_distance_) and applied to distance_
-// with an atomic min. That makes an iteration's outcome — final distances
-// AND the next frontier — independent of the order edges are streamed in,
-// which is what lets engines fan this job's edge blocks across a thread pool
-// while staying bit-identical to the serial path.
+// with a min. That makes an iteration's outcome — final distances AND the
+// next frontier — independent of the order edges and partitions are streamed
+// in, so every execution scheme and visit order is bit-identical.
 #pragma once
-
-#include <atomic>
 
 #include "algos/algorithm.hpp"
 
@@ -28,7 +25,6 @@ class Sssp final : public StreamingAlgorithm {
   void process_edge(const graph::Edge& e) override { relax(e); }
   graph::EdgeCount process_edge_block(const graph::Edge* edges, graph::EdgeCount n,
                                       const util::AtomicBitmap& active) override;
-  [[nodiscard]] bool parallel_safe() const override { return true; }
   void iteration_end() override;
   [[nodiscard]] bool done() const override { return done_; }
   [[nodiscard]] std::pair<const void*, std::size_t> values_span() const override {
@@ -41,18 +37,14 @@ class Sssp final : public StreamingAlgorithm {
   static constexpr float kInfinity = 3.4e38f;
 
  private:
-  /// Atomic min into distance_[e.dst]; activates e.dst iff this call lowered
-  /// the value. Min is order-independent, so any interleaving of concurrent
-  /// relax calls yields the same distances and the same next frontier.
+  /// Min into distance_[e.dst]; activates e.dst iff this call lowered the
+  /// value. Min is order-independent, so any edge order yields the same
+  /// distances and the same next frontier.
   void relax(const graph::Edge& e) {
     const float candidate = prev_distance_[e.src] + e.weight;
-    std::atomic_ref<float> dist(distance_[e.dst]);
-    float current = dist.load(std::memory_order_relaxed);
-    while (candidate < current) {
-      if (dist.compare_exchange_weak(current, candidate, std::memory_order_relaxed)) {
-        next_frontier_.set(e.dst);
-        return;
-      }
+    if (candidate < distance_[e.dst]) {
+      distance_[e.dst] = candidate;
+      next_frontier_.set(e.dst);
     }
   }
 

@@ -17,7 +17,7 @@ void Wcc::init(graph::VertexId num_vertices, const std::vector<std::uint32_t>& /
 }
 
 void Wcc::iteration_start(std::uint64_t /*iteration*/) {
-  changed_this_iteration_.store(false, std::memory_order_relaxed);
+  changed_this_iteration_ = false;
   next_labels_ = labels_;
 }
 
@@ -63,7 +63,7 @@ graph::EdgeCount Wcc::process_edge_block(const graph::Edge* edges, graph::EdgeCo
 void Wcc::iteration_end() {
   labels_.swap(next_labels_);
   ++iterations_done_;
-  if (!changed_this_iteration_.load(std::memory_order_relaxed)) converged_ = true;
+  if (!changed_this_iteration_) converged_ = true;
 }
 
 }  // namespace graphm::algos

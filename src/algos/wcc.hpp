@@ -6,16 +6,12 @@
 // The propagation is Jacobi-style (reads come from the previous iteration's
 // labels) so the outcome of an iteration-capped job is independent of the
 // order partitions are streamed in — a property the cross-scheme equivalence
-// tests rely on, since GraphM deliberately reorders partition loading. The
-// writes into next_labels_ are atomic mins, which extends that order
-// independence to concurrent block workers within one job.
+// tests rely on, since GraphM deliberately reorders partition loading.
 // The iteration budget is a job parameter because the paper's WCC jobs run a
 // random number of iterations (Section 5.1); when the budget exceeds the
 // convergence point the result equals the true components (label == minimum
 // vertex id in the component).
 #pragma once
-
-#include <atomic>
 
 #include "algos/algorithm.hpp"
 
@@ -33,7 +29,6 @@ class Wcc final : public StreamingAlgorithm {
   void process_edge(const graph::Edge& e) override;
   graph::EdgeCount process_edge_block(const graph::Edge* edges, graph::EdgeCount n,
                                       const util::AtomicBitmap& active) override;
-  [[nodiscard]] bool parallel_safe() const override { return true; }
   void iteration_end() override;
   [[nodiscard]] bool done() const override {
     return converged_ || iterations_done_ >= max_iterations_;
@@ -46,23 +41,19 @@ class Wcc final : public StreamingAlgorithm {
   }
 
  private:
-  /// Atomic min of `label` into next_labels_[v]; order-independent, so the
-  /// iteration's outcome is the same under any interleaving.
+  /// Min of `label` into next_labels_[v]; order-independent, so the
+  /// iteration's outcome is the same under any edge order.
   void relax_min(graph::VertexId v, graph::VertexId label) {
-    std::atomic_ref<graph::VertexId> slot(next_labels_[v]);
-    graph::VertexId current = slot.load(std::memory_order_relaxed);
-    while (label < current) {
-      if (slot.compare_exchange_weak(current, label, std::memory_order_relaxed)) {
-        changed_this_iteration_.store(true, std::memory_order_relaxed);
-        return;
-      }
+    if (label < next_labels_[v]) {
+      next_labels_[v] = label;
+      changed_this_iteration_ = true;
     }
   }
 
   std::uint32_t max_iterations_;
   std::uint32_t iterations_done_ = 0;
   bool converged_ = false;
-  std::atomic<bool> changed_this_iteration_{false};
+  bool changed_this_iteration_ = false;
   std::vector<graph::VertexId> labels_;
   std::vector<graph::VertexId> next_labels_;
   util::AtomicBitmap active_;

@@ -15,7 +15,6 @@
 #include "graph/types.hpp"
 #include "sim/cost_model.hpp"
 #include "util/bitmap.hpp"
-#include "util/thread_pool.hpp"
 
 namespace graphm::core {
 
@@ -70,10 +69,9 @@ struct ChunkTable {
 
 /// Algorithm 1: labels one partition's edge stream into chunks of at most
 /// `chunk_bytes` (the final chunk may be smaller). Chunk boundaries are fixed
-/// by size alone, so with `pool` the chunks are labelled in parallel — the
-/// output is identical to the serial pass.
+/// by size alone.
 ChunkTable label_partition(const graph::Edge* edges, graph::EdgeCount count,
-                           std::size_t chunk_bytes, util::ThreadPool* pool = nullptr);
+                           std::size_t chunk_bytes);
 
 /// Re-labels a single chunk's (possibly mutated/updated) content in place;
 /// used when snapshots replace chunk data (Section 3.3.2: "Set_c also needs

@@ -75,17 +75,12 @@ std::uint64_t GraphM::init() {
 
   chunk_tables_.clear();
   chunk_tables_.resize(meta.num_partitions);
-  // Partitions are read serially (the simulated page-cache charges stay in a
-  // deterministic order); the labelling passes fan out across the pool.
-  std::unique_ptr<util::ThreadPool> pool;
-  if (options_.label_threads > 1) {
-    pool = std::make_unique<util::ThreadPool>(options_.label_threads);
-  }
+  // Partitions are read and labelled one at a time, in ascending order, so
+  // the simulated page-cache charges stay deterministic.
   std::vector<graph::Edge> buffer;
   for (std::uint32_t pid = 0; pid < meta.num_partitions; ++pid) {
     store_.read_partition(pid, buffer, platform_, kPreprocessJobId);
-    chunk_tables_[pid] = label_partition(buffer.data(), buffer.size(), chunk_bytes_,
-                                         pool.get());
+    chunk_tables_[pid] = label_partition(buffer.data(), buffer.size(), chunk_bytes_);
   }
   tables_tracking_ = sim::TrackedAllocation(&platform_.memory(),
                                             sim::MemoryCategory::kChunkTables, metadata_bytes());

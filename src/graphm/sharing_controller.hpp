@@ -42,9 +42,6 @@ struct GraphMOptions {
   bool fine_grained_sync = true;   // chunk barrier (ablation)
   std::size_t vertex_value_bytes = sizeof(double);  // Uv of Formula 1
   std::size_t chunk_bytes_override = 0;             // 0 = Formula 1
-  /// Workers for Init()'s labelling pass (Algorithm 1). Chunk boundaries are
-  /// size-determined, so parallel labelling is bit-identical to serial.
-  std::size_t label_threads = 1;
   /// Open-loop service mode (Algorithm 2 taken to its limit): a job whose
   /// needs include the partition already resident in the shared buffer may
   /// attach to the round in flight instead of waiting for the next round.

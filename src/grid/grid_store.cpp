@@ -128,25 +128,75 @@ std::uint64_t GridStore::preprocess(const graph::EdgeList& graph, std::uint32_t 
 }
 
 GridStore GridStore::open(const std::string& path) {
-  std::FILE* f = std::fopen((path + ".meta").c_str(), "rb");
-  if (f == nullptr) throw std::runtime_error("GridStore: cannot open " + path + ".meta");
+  const std::string meta_path = path + ".meta";
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(std::fopen(meta_path.c_str(), "rb"),
+                                                          &std::fclose);
+  if (f == nullptr) throw std::runtime_error("GridStore: cannot open " + meta_path);
+  const auto read = [&f](void* dst, std::size_t bytes) {
+    return std::fread(dst, 1, bytes, f.get()) == bytes;
+  };
+  const auto corrupt = [&path](const std::string& why) {
+    return std::runtime_error("GridStore: corrupt " + path + ": " + why);
+  };
+
+  // Every check runs here, once, so the read paths can trust the meta.
   GridMeta meta;
   std::uint32_t magic = 0;
-  bool ok = std::fread(&magic, sizeof(magic), 1, f) == 1 && magic == kMetaMagic;
-  ok = ok && std::fread(&meta.num_vertices, sizeof(meta.num_vertices), 1, f) == 1;
-  ok = ok && std::fread(&meta.num_edges, sizeof(meta.num_edges), 1, f) == 1;
-  ok = ok && std::fread(&meta.num_partitions, sizeof(meta.num_partitions), 1, f) == 1;
-  ok = ok && std::fread(&meta.preprocess_ns, sizeof(meta.preprocess_ns), 1, f) == 1;
-  if (ok) {
-    meta.blocks_per_partition = meta.num_partitions;
-    const std::size_t cells = static_cast<std::size_t>(meta.num_partitions) * meta.num_partitions;
-    meta.block_offsets.resize(cells);
-    meta.block_edges.resize(cells);
-    ok = std::fread(meta.block_offsets.data(), sizeof(std::uint64_t), cells, f) == cells &&
-         std::fread(meta.block_edges.data(), sizeof(std::uint64_t), cells, f) == cells;
+  if (!read(&magic, sizeof(magic)) || magic != kMetaMagic ||
+      !read(&meta.num_vertices, sizeof(meta.num_vertices)) ||
+      !read(&meta.num_edges, sizeof(meta.num_edges)) ||
+      !read(&meta.num_partitions, sizeof(meta.num_partitions)) ||
+      !read(&meta.preprocess_ns, sizeof(meta.preprocess_ns))) {
+    throw corrupt("bad meta header");
   }
-  std::fclose(f);
-  if (!ok) throw std::runtime_error("GridStore: corrupt meta " + path);
+  const std::uint32_t partitions = meta.num_partitions;
+  if (partitions == 0 || partitions > std::max<VertexId>(1, meta.num_vertices)) {
+    throw corrupt("num_partitions " + std::to_string(partitions) +
+                  " outside [1, max(1, num_vertices)]");
+  }
+  // The meta file must hold exactly the two P x P block arrays, so a corrupt
+  // P is rejected before it sizes an allocation.
+  const std::size_t cells = static_cast<std::size_t>(partitions) * partitions;
+  constexpr std::uint64_t kHeaderBytes = sizeof(magic) + sizeof(meta.num_vertices) +
+                                         sizeof(meta.num_edges) + sizeof(meta.num_partitions) +
+                                         sizeof(meta.preprocess_ns);
+  constexpr std::uint64_t kCellBytes = 2 * sizeof(std::uint64_t);
+  std::error_code ec;
+  const std::uint64_t table_bytes = fs::file_size(meta_path, ec) - kHeaderBytes;
+  if (ec || table_bytes % kCellBytes != 0 || table_bytes / kCellBytes != cells) {
+    throw corrupt("meta size does not match num_partitions");
+  }
+  meta.blocks_per_partition = partitions;
+  meta.block_offsets.resize(cells);
+  meta.block_edges.resize(cells);
+  if (!read(meta.block_offsets.data(), cells * sizeof(std::uint64_t)) ||
+      !read(meta.block_edges.data(), cells * sizeof(std::uint64_t))) {
+    throw corrupt("truncated block table");
+  }
+
+  // Blocks tile the data file row-major: each starts where the previous one
+  // ended (a partition is one contiguous read) and none runs past the end.
+  const std::uint64_t data_bytes = fs::file_size(path + ".data", ec);
+  if (ec) throw std::runtime_error("GridStore: cannot open " + path + ".data");
+  std::uint64_t end = 0;
+  EdgeCount edges = 0;
+  for (std::size_t c = 0; c < cells; ++c) {
+    if (meta.block_offsets[c] != end) throw corrupt("block offsets not ascending and contiguous");
+    if (meta.block_edges[c] > (data_bytes - end) / sizeof(Edge)) {
+      throw corrupt("block runs past the end of the .data file");
+    }
+    end += meta.block_edges[c] * sizeof(Edge);
+    edges += meta.block_edges[c];
+  }
+  if (edges != meta.num_edges) throw corrupt("block edge counts do not sum to num_edges");
+
+  // A missing .deg only fails load_out_degrees; one of the wrong size is a
+  // corrupt store.
+  const std::string deg_path = path + ".deg";
+  if (fs::exists(deg_path, ec) &&
+      fs::file_size(deg_path, ec) != std::uint64_t{meta.num_vertices} * sizeof(std::uint32_t)) {
+    throw corrupt(".deg size does not match num_vertices");
+  }
   return GridStore(std::move(meta), path, file_id_for_path(path));
 }
 

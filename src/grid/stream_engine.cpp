@@ -1,7 +1,6 @@
 #include "grid/stream_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 
 #include "obs/trace.hpp"
@@ -13,11 +12,7 @@ StreamEngine::StreamEngine(const storage::PartitionedStore& store, sim::Platform
     : store_(store), platform_(platform), config_(config),
       out_degrees_(store.load_out_degrees()),
       run_cache_(store.meta().num_partitions),
-      run_cache_once_(store.meta().num_partitions) {
-  if (config_.num_stream_threads > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(config_.num_stream_threads);
-  }
-}
+      run_cache_once_(store.meta().num_partitions) {}
 
 const StreamEngine::RunIndex& StreamEngine::partition_runs(std::uint32_t pid,
                                                            const ChunkSpan& span) const {
@@ -57,55 +52,20 @@ std::vector<std::uint32_t> StreamEngine::active_partitions(
 std::uint64_t StreamEngine::stream_range(algos::StreamingAlgorithm& algorithm,
                                          const ChunkSpan& span, graph::EdgeCount begin,
                                          graph::EdgeCount len,
-                                         const util::AtomicBitmap& active,
-                                         bool fan_out) const {
+                                         const util::AtomicBitmap& active) const {
   const graph::EdgeCount block = std::max<graph::EdgeCount>(1, config_.block_edges);
-  if (!fan_out || len <= block) {
-    std::uint64_t processed = 0;
-    for (graph::EdgeCount off = 0; off < len; off += block) {
-      const graph::EdgeCount n = std::min(block, len - off);
-      processed += algorithm.process_edge_block(span.edges + begin + off, n, active);
-    }
-    return processed;
-  }
-
-  const std::uint32_t stripes = algorithm.dst_stripes();
-  if (stripes > 0) {
-    // Striped fan-out (order-sensitive reductions, e.g. PageRank): the work
-    // unit is a destination stripe, not a block. Each stripe task scans the
-    // whole range in stream order and relaxes only the destinations it owns,
-    // so the per-destination summation order is the serial one no matter how
-    // many workers run or which worker takes which stripe. Per-stripe relaxed
-    // counts partition the source-active edges (each edge belongs to exactly
-    // one dst stripe), so the integer-reduced total matches the serial scan.
-    std::atomic<std::uint64_t> processed{0};
-    pool_->parallel_for(stripes, [&](std::size_t s) {
-      processed.fetch_add(
-          algorithm.process_edge_block_striped(span.edges + begin, len, active,
-                                               static_cast<std::uint32_t>(s)),
-          std::memory_order_relaxed);
-    });
-    return processed.load(std::memory_order_relaxed);
-  }
-
-  // Fan the range's blocks across the pool. The per-block relaxed counts are
-  // reduced with an integer fetch_add — order-independent, so the total (and
-  // every simulated metric derived from it) is identical at any thread count.
-  const auto num_blocks = static_cast<std::size_t>((len + block - 1) / block);
-  std::atomic<std::uint64_t> processed{0};
-  pool_->parallel_for(num_blocks, [&](std::size_t b) {
-    const graph::EdgeCount off = static_cast<graph::EdgeCount>(b) * block;
+  std::uint64_t processed = 0;
+  for (graph::EdgeCount off = 0; off < len; off += block) {
     const graph::EdgeCount n = std::min(block, len - off);
-    processed.fetch_add(algorithm.process_edge_block(span.edges + begin + off, n, active),
-                        std::memory_order_relaxed);
-  });
-  return processed.load(std::memory_order_relaxed);
+    processed += algorithm.process_edge_block(span.edges + begin + off, n, active);
+  }
+  return processed;
 }
 
 std::uint64_t StreamEngine::stream_chunk(algos::StreamingAlgorithm& algorithm,
                                          const ChunkSpan& span,
                                          const util::AtomicBitmap& active,
-                                         bool fan_out, bool dense) const {
+                                         bool dense) const {
   if (!config_.use_blocks) {
     // Legacy scalar baseline: one atomic bit test + one virtual call per edge.
     std::uint64_t processed = 0;
@@ -120,7 +80,7 @@ std::uint64_t StreamEngine::stream_chunk(algos::StreamingAlgorithm& algorithm,
   }
 
   if (dense || span.runs == nullptr || span.num_runs == 0) {
-    return stream_range(algorithm, span, 0, span.edge_count, active, fan_out);
+    return stream_range(algorithm, span, 0, span.edge_count, active);
   }
 
   // Source-run skipping: streaming is bandwidth-bound, so the win on an
@@ -160,7 +120,7 @@ std::uint64_t StreamEngine::stream_chunk(algos::StreamingAlgorithm& algorithm,
         have_segment = true;
       } else if (run_begin - segment_end >= kMinSkipEdges) {
         processed += stream_range(algorithm, span, segment_begin,
-                                  segment_end - segment_begin, active, fan_out);
+                                  segment_end - segment_begin, active);
         segment_begin = run_begin;
       }
       // else: absorb the short gap [segment_end, run_begin).
@@ -201,7 +161,7 @@ std::uint64_t StreamEngine::stream_chunk(algos::StreamingAlgorithm& algorithm,
   }
   if (have_segment) {
     processed += stream_range(algorithm, span, segment_begin,
-                              segment_end - segment_begin, active, fan_out);
+                              segment_end - segment_begin, active);
   }
   return processed;
 }
@@ -213,7 +173,6 @@ JobRunStats StreamEngine::run_job(std::uint32_t job_id, algos::StreamingAlgorith
   const std::uint64_t io_before = platform_.page_cache().job_stats(job_id).virtual_io_ns;
 
   algorithm.init(store_.meta().num_vertices, out_degrees_, &platform_.memory());
-  const bool fan_out = pool_ != nullptr && config_.use_blocks && algorithm.parallel_safe();
 
   // Spans land on the calling thread's track: the service worker's job span
   // records on the same track, so iterations nest inside it in the viewer.
@@ -235,11 +194,10 @@ JobRunStats StreamEngine::run_job(std::uint32_t job_id, algos::StreamingAlgorith
     while (auto view = loader.acquire_next(job_id)) {
       const std::uint64_t part_start_ns = tracing ? tracer.now_ns() : 0;
       ++stats.partitions_loaded;
-      // Partition-grouping seam of the striped-accumulation contract: every
-      // engine path (legacy scalar, blocks, pooled) announces the partition
-      // so accumulating algorithms group contributions identically — the
-      // property that makes PageRank byte-identical across -S/-C/-M and any
-      // partition visit order.
+      // Partition-grouping seam: both engine paths (legacy scalar, blocks)
+      // announce the partition so accumulating algorithms group
+      // contributions identically — the property that makes PageRank
+      // byte-identical across -S/-C/-M and any partition visit order.
       algorithm.begin_partition(view->pid, store_.meta().num_partitions);
       const auto [values_ptr, values_bytes] = algorithm.values_span();
       // The run walk costs ~8 bytes of index bandwidth per run and only pays
@@ -274,16 +232,16 @@ JobRunStats StreamEngine::run_job(std::uint32_t job_id, algos::StreamingAlgorith
 
         util::Timer chunk_timer;
         const std::uint64_t active_edges =
-            stream_chunk(algorithm, span, active, fan_out, dense);
+            stream_chunk(algorithm, span, active, dense);
         const std::uint64_t elapsed = chunk_timer.elapsed_ns();
 
         stats.edges_streamed += span.edge_count;
         stats.edges_processed += active_edges;
         stats.compute_ns += elapsed;
 
-        // Simulated metrics are issued from this (the job's) thread in chunk
-        // order, never from pool workers, so LLC state transitions and
-        // instruction counts stay deterministic at any thread count.
+        // Simulated metrics are issued in chunk order, so LLC state
+        // transitions and instruction counts are a pure function of the
+        // job's visit order.
         if (config_.model_llc && span.edge_count != 0) {
           // Structure data: the chunk's actual buffer address, so shared
           // buffers (-M) hit the same simulated lines while private copies

@@ -10,31 +10,24 @@
 // The streaming hot path is block-batched: a chunk is cut into fixed-size
 // edge blocks and each block goes through one virtual process_edge_block call
 // whose override runs a tight devirtualized loop (word-at-a-time frontier
-// tests). When the engine owns a thread pool and the algorithm declares
-// parallel_safe(), the chunk fans out across the pool — the paper's intra-job
-// `#threads == #cores` axis (Figure 20) — in one of two shapes: by block for
-// order-independent relaxations, or by destination stripe for order-sensitive
-// reductions (dst_stripes() > 0, e.g. PageRank), which keeps results
-// bit-identical at any thread count. The engine also announces each
-// partition via begin_partition so accumulating algorithms can group
-// contributions by the graph layout rather than visit order. All simulated
-// metrics (instructions, LLC accesses) are issued from the calling thread in
-// canonical chunk order after each chunk's blocks complete, so they are
-// bit-identical at any thread count; see docs/streaming.md.
+// tests). Each job streams on its own (calling) thread; concurrency comes
+// from running many jobs at once, which is what GraphM shares. The engine
+// announces each partition via begin_partition so accumulating algorithms
+// can group contributions by the graph layout rather than visit order, and
+// issues all simulated metrics (instructions, LLC accesses) in chunk order;
+// see docs/streaming.md.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 
 #include "algos/algorithm.hpp"
 #include "grid/grid_store.hpp"
 #include "grid/loader.hpp"
 #include "sim/platform.hpp"
-#include "util/thread_pool.hpp"
 #include "util/annotations.hpp"
 
 namespace graphm::grid {
@@ -46,11 +39,7 @@ struct StreamConfig {
   /// edge). Kept as the measurable scalar baseline and as the oracle path for
   /// the block equivalence tests.
   bool use_blocks = true;
-  /// Streaming workers per engine (1 = no pool). The pool is shared by every
-  /// job running on the engine; a job's blocks are only fanned out when its
-  /// algorithm is parallel_safe().
-  std::size_t num_stream_threads = 1;
-  /// Edges per process_edge_block dispatch (also the parallel work unit).
+  /// Edges per process_edge_block dispatch.
   graph::EdgeCount block_edges = 16384;
   std::uint64_t max_iterations_guard = 100000;  // safety net against bugs
 };
@@ -102,25 +91,19 @@ class StreamEngine {
   [[nodiscard]] const std::vector<std::uint32_t>& out_degrees() const { return out_degrees_; }
   [[nodiscard]] sim::Platform& platform() const { return platform_; }
   [[nodiscard]] const StreamConfig& config() const { return config_; }
-  /// Streaming workers available to one job (pool size, or 1 without a pool).
-  [[nodiscard]] std::size_t stream_threads() const {
-    return pool_ ? pool_->size() : 1;
-  }
 
  private:
-  /// Streams one chunk span through the algorithm (block-batched, optionally
-  /// pool-parallel) and returns the number of edges relaxed. `dense` reports
+  /// Streams one chunk span through the algorithm (block-batched) and
+  /// returns the number of edges relaxed. `dense` reports
   /// that every source in the partition's vertex range is active, which
   /// bypasses the source-run skip index (nothing to skip).
   std::uint64_t stream_chunk(algos::StreamingAlgorithm& algorithm, const ChunkSpan& span,
-                             const util::AtomicBitmap& active, bool fan_out,
-                             bool dense) const;
+                             const util::AtomicBitmap& active, bool dense) const;
 
-  /// Streams [begin, begin+len) of `span` as block_edges-sized batches,
-  /// serially or across the pool.
+  /// Streams [begin, begin+len) of `span` as block_edges-sized batches.
   std::uint64_t stream_range(algos::StreamingAlgorithm& algorithm, const ChunkSpan& span,
                              graph::EdgeCount begin, graph::EdgeCount len,
-                             const util::AtomicBitmap& active, bool fan_out) const;
+                             const util::AtomicBitmap& active) const;
 
   struct RunIndex {
     std::vector<graph::SourceRun> runs;
@@ -143,7 +126,6 @@ class StreamEngine {
   sim::Platform& platform_;
   StreamConfig config_;
   std::vector<std::uint32_t> out_degrees_;
-  std::unique_ptr<util::ThreadPool> pool_;  // present iff num_stream_threads > 1
 
   mutable Mutex run_cache_mutex_;  // guards only the tracked byte counter
   /// Built under a per-partition once_flag, then immutable — lock-free reads

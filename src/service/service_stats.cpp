@@ -86,17 +86,15 @@ void StatsCollector::on_finish(const runtime::JobOutcome& outcome,
     ++completed_count_;
     first_arrival_ns_ = std::min(first_arrival_ns_, outcome.arrival_ns);
     last_completion_ns_ = std::max(last_completion_ns_, outcome.completion_ns);
-    queue_wait_hist_.record(outcome.queue_wait_ns());
-    stream_hist_.record(outcome.completion_ns - outcome.start_ns);
-    e2e_hist_.record(outcome.latency_ns());
-    e2e_modeled_hist_.record(modeled_latency_ns);
-    exec_modeled_hist_.record(outcome.modeled_exec_ns());
-    if (sample_outcomes_.size() < kSampleCap) {
-      runtime::JobOutcome kept = outcome;
-      kept.result.clear();  // the record's copy stays with the handle
-      sample_outcomes_.push_back(std::move(kept));
-      sample_modeled_.push_back(modeled_latency_ns);
-    }
+    const Sample sample{outcome.arrival_ns, outcome.queue_wait_ns(),
+                        outcome.completion_ns - outcome.start_ns, outcome.latency_ns(),
+                        modeled_latency_ns, outcome.modeled_exec_ns()};
+    queue_wait_hist_.record(sample.queue_wait_ns);
+    stream_hist_.record(sample.stream_ns);
+    e2e_hist_.record(sample.e2e_ns);
+    e2e_modeled_hist_.record(sample.e2e_modeled_ns);
+    exec_modeled_hist_.record(sample.exec_modeled_ns);
+    if (samples_.size() < kSampleCap) samples_.push_back(sample);
   }
   if (missed_deadline) ++deadline_misses_;
 }
@@ -154,25 +152,27 @@ ServiceStats StatsCollector::snapshot(std::vector<GroupRecord> groups,
   stats.timeline = timeline_;
   stats.groups = std::move(groups);
 
-  const bool exact = completed_count_ <= sample_outcomes_.size();
+  const bool exact = completed_count_ <= samples_.size();
   if (exact) {
     // Reservoir holds every outcome: report the exact order statistics the
     // closed-batch tests and benches pin.
-    std::vector<std::uint64_t> waits, streams, e2e, exec_modeled;
-    waits.reserve(sample_outcomes_.size());
-    streams.reserve(sample_outcomes_.size());
-    e2e.reserve(sample_outcomes_.size());
-    exec_modeled.reserve(sample_outcomes_.size());
-    for (const runtime::JobOutcome& job : sample_outcomes_) {
-      waits.push_back(job.queue_wait_ns());
-      streams.push_back(job.completion_ns - job.start_ns);
-      e2e.push_back(job.latency_ns());
-      exec_modeled.push_back(job.modeled_exec_ns());
+    std::vector<std::uint64_t> waits, streams, e2e, e2e_modeled, exec_modeled;
+    waits.reserve(samples_.size());
+    streams.reserve(samples_.size());
+    e2e.reserve(samples_.size());
+    e2e_modeled.reserve(samples_.size());
+    exec_modeled.reserve(samples_.size());
+    for (const Sample& job : samples_) {
+      waits.push_back(job.queue_wait_ns);
+      streams.push_back(job.stream_ns);
+      e2e.push_back(job.e2e_ns);
+      e2e_modeled.push_back(job.e2e_modeled_ns);
+      exec_modeled.push_back(job.exec_modeled_ns);
     }
     stats.queue_wait = summarize_latency(std::move(waits));
     stats.stream_time = summarize_latency(std::move(streams));
     stats.e2e = summarize_latency(std::move(e2e));
-    stats.e2e_modeled = summarize_latency(sample_modeled_);
+    stats.e2e_modeled = summarize_latency(std::move(e2e_modeled));
     stats.exec_modeled = summarize_latency(std::move(exec_modeled));
   } else {
     // Past the cap: bounded log-bucketed histograms (within one ~3.1% bucket
@@ -185,9 +185,9 @@ ServiceStats StatsCollector::snapshot(std::vector<GroupRecord> groups,
   }
 
   std::vector<ReplayJob> replay_jobs;
-  replay_jobs.reserve(sample_outcomes_.size());
-  for (const runtime::JobOutcome& job : sample_outcomes_) {
-    replay_jobs.push_back({job.arrival_ns, job.modeled_exec_ns()});
+  replay_jobs.reserve(samples_.size());
+  for (const Sample& job : samples_) {
+    replay_jobs.push_back({job.arrival_ns, job.exec_modeled_ns});
   }
   stats.modeled = modeled_replay(std::move(replay_jobs), workers);
   if (completed_count_ != 0) {
@@ -214,8 +214,7 @@ void StatsCollector::publish_metrics(obs::Registry& registry) const {
 
 std::size_t StatsCollector::approx_memory_bytes() const {
   MutexLock lock(mutex_);
-  return sample_outcomes_.capacity() * sizeof(runtime::JobOutcome) +
-         sample_modeled_.capacity() * sizeof(std::uint64_t) +
+  return samples_.capacity() * sizeof(Sample) +
          timeline_.capacity() * sizeof(ConcurrencyPoint) +
          5 * sizeof(obs::Histogram);
 }

@@ -124,7 +124,8 @@ struct ServiceStats {
 /// Memory is bounded no matter how many jobs flow through (the always-on
 /// service routes an unbounded stream through one collector):
 ///  * every latency metric feeds a log-bucketed obs::Histogram (~15 KB,
-///    fixed) AND a sample reservoir holding the first kSampleCap outcomes.
+///    fixed) AND a sample reservoir holding the first kSampleCap outcomes'
+///    latencies (never their result vectors).
 ///    Up to the cap, snapshot() reports *exact* nearest-rank percentiles
 ///    from the samples — byte-identical to the old store-everything path —
 ///    beyond it, histogram quantiles (within one ~3.1% bucket of exact);
@@ -178,10 +179,19 @@ class StatsCollector {
   std::uint64_t completed_count_ GUARDED_BY(mutex_) = 0;
   std::uint64_t first_arrival_ns_ GUARDED_BY(mutex_) = UINT64_MAX;
   std::uint64_t last_completion_ns_ GUARDED_BY(mutex_) = 0;
-  /// First-kSampleCap reservoir (results stripped, stats kept) + the modeled
-  /// latency aligned with it.
-  std::vector<runtime::JobOutcome> sample_outcomes_ GUARDED_BY(mutex_);
-  std::vector<std::uint64_t> sample_modeled_ GUARDED_BY(mutex_);
+  /// The latencies of one finished job — everything the exact summaries and
+  /// the modeled replay read. No result vector: the reservoir must not pin
+  /// per-job heap buffers.
+  struct Sample {
+    std::uint64_t arrival_ns = 0;
+    std::uint64_t queue_wait_ns = 0;
+    std::uint64_t stream_ns = 0;
+    std::uint64_t e2e_ns = 0;
+    std::uint64_t e2e_modeled_ns = 0;
+    std::uint64_t exec_modeled_ns = 0;
+  };
+  /// First-kSampleCap reservoir.
+  std::vector<Sample> samples_ GUARDED_BY(mutex_);
   obs::Histogram queue_wait_hist_ GUARDED_BY(mutex_);
   obs::Histogram stream_hist_ GUARDED_BY(mutex_);
   obs::Histogram e2e_hist_ GUARDED_BY(mutex_);

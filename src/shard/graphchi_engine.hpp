@@ -5,10 +5,9 @@
 // LoadSubgraph(), exactly as the paper integrates GraphM into GraphChi
 // (`Sharing(G, LoadSubgraph())`, Section 3.1).
 //
-// The block-batched, pool-parallel streaming path lives in the shared core:
-// StreamConfig::num_stream_threads sizes this engine's worker pool too, and
-// shards stream through process_edge_block exactly like grid partitions
-// (GraphChi's parallel sliding windows collapse onto the same block axis).
+// The block-batched streaming path lives in the shared core: shards stream
+// through process_edge_block exactly like grid partitions (GraphChi's
+// parallel sliding windows collapse onto the same block axis).
 #pragma once
 
 #include "grid/stream_engine.hpp"
@@ -30,8 +29,6 @@ class GraphChiEngine {
 
   [[nodiscard]] const ShardStore& store() const { return store_; }
   [[nodiscard]] const grid::StreamEngine& core() const { return core_; }
-  /// Streaming workers one job's blocks can fan out across.
-  [[nodiscard]] std::size_t stream_threads() const { return core_.stream_threads(); }
 
  private:
   const ShardStore& store_;

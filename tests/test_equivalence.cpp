@@ -27,7 +27,7 @@ void expect_same_results(const RunMetrics& a, const RunMetrics& b) {
     ASSERT_EQ(ra.size(), rb.size()) << a.scheme << " vs " << b.scheme << " job " << j;
     for (std::size_t v = 0; v < ra.size(); ++v) {
       // Bit-identical across schemes for every algorithm — including
-      // PageRank, whose striped accumulation fixes the summation shape
+      // PageRank, whose partition-grouped accumulation fixes the summation shape
       // regardless of partition visit order (no tolerance escape hatch).
       ASSERT_EQ(ra[v], rb[v])
           << a.scheme << " vs " << b.scheme << " job " << j << " ("
@@ -88,8 +88,8 @@ TEST(SchemeEquivalence, SharedModeWithManyIdenticalJobs) {
 // ---------------------------------------------------------------------------
 // Block-vs-scalar oracle: every algorithm's process_edge_block override must
 // be observably identical to the per-edge fallback — bit-identical result(),
-// identical edges_processed — and the engine's simulated metrics must be
-// deterministic at any worker-thread count (1/2/8).
+// identical edges_processed — and the engine's simulated metrics must agree
+// with the legacy per-edge path.
 // ---------------------------------------------------------------------------
 
 /// Forwards everything except process_edge_block, so the engine exercises the
@@ -110,15 +110,6 @@ class ScalarFallback final : public algos::StreamingAlgorithm {
     return inner_->active_vertices();
   }
   void process_edge(const graph::Edge& e) override { inner_->process_edge(e); }
-  [[nodiscard]] bool parallel_safe() const override { return inner_->parallel_safe(); }
-  // Striped-accumulation plumbing forwards so the engine drives the wrapped
-  // algorithm in the same mode — but process_edge_block_striped is NOT
-  // forwarded: the base-class striped fallback (per-edge dst_stripe_of +
-  // process_edge) is what this wrapper exists to exercise.
-  [[nodiscard]] std::uint32_t dst_stripes() const override { return inner_->dst_stripes(); }
-  [[nodiscard]] std::uint32_t dst_stripe_of(graph::VertexId dst) const override {
-    return inner_->dst_stripe_of(dst);
-  }
   void begin_partition(std::uint32_t pid, std::uint32_t num_partitions) override {
     inner_->begin_partition(pid, num_partitions);
   }
@@ -141,12 +132,10 @@ struct EngineRun {
 
 enum class Path { kLegacyScalar, kBlocks, kBlockFallback };
 
-EngineRun run_single(const grid::GridStore& store, const algos::JobSpec& spec, Path path,
-                     std::size_t threads) {
+EngineRun run_single(const grid::GridStore& store, const algos::JobSpec& spec, Path path) {
   sim::Platform platform;
   grid::StreamConfig config;
   config.use_blocks = path != Path::kLegacyScalar;
-  config.num_stream_threads = threads;
   config.block_edges = 512;  // small blocks: several per chunk even on test graphs
   // LLC modeling feeds *real* buffer addresses through the cache simulator,
   // which vary run to run with the allocator; instruction counts are the
@@ -167,7 +156,7 @@ EngineRun run_single(const grid::GridStore& store, const algos::JobSpec& spec, P
 
 class BlockVsScalar : public ::testing::TestWithParam<algos::AlgorithmKind> {};
 
-TEST_P(BlockVsScalar, BlockPathMatchesScalarOracleAtAnyThreadCount) {
+TEST_P(BlockVsScalar, BlockPathMatchesScalarOracle) {
   const auto g = test::small_rmat(700, 9000, 3);
   const grid::GridStore store = test::make_grid(g, 4);
   algos::JobSpec spec;
@@ -177,26 +166,20 @@ TEST_P(BlockVsScalar, BlockPathMatchesScalarOracleAtAnyThreadCount) {
   spec.root = 1;
 
   // The oracle: the legacy per-edge loop (one virtual call + one atomic bit
-  // test per edge), single-threaded — the seed's exact hot path.
-  const EngineRun oracle = run_single(store, spec, Path::kLegacyScalar, 1);
+  // test per edge) — the seed's exact hot path.
+  const EngineRun oracle = run_single(store, spec, Path::kLegacyScalar);
   ASSERT_GT(oracle.stats.edges_processed, 0u);
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    for (const Path path : {Path::kBlocks, Path::kBlockFallback}) {
-      const EngineRun run = run_single(store, spec, path, threads);
-      const char* label = path == Path::kBlocks ? "override" : "fallback";
-      ASSERT_EQ(oracle.result, run.result)
-          << label << " result not bit-identical at " << threads << " threads";
-      EXPECT_EQ(oracle.stats.edges_processed, run.stats.edges_processed)
-          << label << " at " << threads << " threads";
-      EXPECT_EQ(oracle.stats.edges_streamed, run.stats.edges_streamed);
-      EXPECT_EQ(oracle.stats.iterations, run.stats.iterations);
-      // Simulated metrics must be deterministic: instruction counts derive
-      // from per-chunk active-edge totals and are issued in canonical chunk
-      // order regardless of how the blocks were fanned out.
-      EXPECT_EQ(oracle.instructions, run.instructions)
-          << label << " at " << threads << " threads";
-    }
+  for (const Path path : {Path::kBlocks, Path::kBlockFallback}) {
+    const EngineRun run = run_single(store, spec, path);
+    const char* label = path == Path::kBlocks ? "override" : "fallback";
+    ASSERT_EQ(oracle.result, run.result) << label << " result not bit-identical";
+    EXPECT_EQ(oracle.stats.edges_processed, run.stats.edges_processed) << label;
+    EXPECT_EQ(oracle.stats.edges_streamed, run.stats.edges_streamed);
+    EXPECT_EQ(oracle.stats.iterations, run.stats.iterations);
+    // Instruction counts derive from per-chunk active-edge totals issued in
+    // chunk order, so every path must report the same simulated work.
+    EXPECT_EQ(oracle.instructions, run.instructions) << label;
   }
 }
 
@@ -211,9 +194,9 @@ TEST(BlockVsScalar, EngineAgreesWithEngineFreeStreamingOracle) {
   // reference::run_streaming drives the same algorithms per-edge over the raw
   // edge list — no engine, no grid, no blocks. Exact for the order-independent
   // algorithms; PageRank's engine runs group contributions per partition
-  // (striped-accumulation contract) while the engine-free oracle folds flat,
+  // (partition-grouped accumulation) while the engine-free oracle folds flat,
   // a different rounding shape — hence the (tiny) tolerance here. Cross-
-  // scheme and cross-thread-count comparisons are exact; see
+  // scheme and cross-visit-order comparisons are exact; see
   // PageRankBitIdentical below.
   const auto g = test::small_rmat(500, 6000, 11);
   const grid::GridStore store = test::make_grid(g, 4);
@@ -225,7 +208,7 @@ TEST(BlockVsScalar, EngineAgreesWithEngineFreeStreamingOracle) {
     spec.root = 2;
     auto algorithm = algos::make_algorithm(spec);
     const auto expected = algos::reference::run_streaming(g, *algorithm);
-    const auto run = run_single(store, spec, Path::kBlocks, 2);
+    const auto run = run_single(store, spec, Path::kBlocks);
     ASSERT_EQ(expected.size(), run.result.size());
     const double tolerance = kind == algos::AlgorithmKind::kPageRank ? 1e-12 : 0.0;
     for (std::size_t v = 0; v < expected.size(); ++v) {
@@ -249,8 +232,8 @@ TEST(BlockVsScalar, SortedRunJumpMatchesScalarOnSparseFrontiers) {
       algos::JobSpec spec;
       spec.kind = kind;
       spec.root = 17;
-      const EngineRun oracle = run_single(store, spec, Path::kLegacyScalar, 1);
-      const EngineRun run = run_single(store, spec, Path::kBlocks, 1);
+      const EngineRun oracle = run_single(store, spec, Path::kLegacyScalar);
+      const EngineRun run = run_single(store, spec, Path::kBlocks);
       ASSERT_EQ(oracle.result, run.result)
           << algos::to_string(kind) << " P=" << partitions;
       EXPECT_EQ(oracle.stats.edges_processed, run.stats.edges_processed)
@@ -263,9 +246,9 @@ TEST(BlockVsScalar, SortedRunJumpMatchesScalarOnSparseFrontiers) {
 
 // ---------------------------------------------------------------------------
 // PageRank bit-identity: raw values_span() bytes (memcmp, not ASSERT_NEAR)
-// must agree across stream-thread counts {1, 2, 8}, across the -S/-C/-M
-// loader schemes, and across adversarially permuted partition visit orders —
-// the striped-accumulation guarantee.
+// must agree across the -S/-C/-M loader schemes and across adversarially
+// permuted partition visit orders — the partition-grouped accumulation
+// guarantee.
 // ---------------------------------------------------------------------------
 
 /// DefaultLoader-alike that serves a job's active partitions in a seeded
@@ -321,11 +304,9 @@ enum class LoaderKind { kDefault, kPermuted, kShared };
 std::vector<std::vector<unsigned char>> run_value_bytes(const grid::GridStore& store,
                                                         const algos::JobSpec& spec,
                                                         std::size_t num_jobs,
-                                                        std::size_t threads,
                                                         LoaderKind kind) {
   sim::Platform platform;
   grid::StreamConfig config;
-  config.num_stream_threads = threads;
   config.block_edges = 512;
   config.model_llc = false;
   grid::StreamEngine engine(store, platform, config);
@@ -364,7 +345,7 @@ std::vector<std::vector<unsigned char>> run_value_bytes(const grid::GridStore& s
   return bytes;
 }
 
-TEST(PageRankBitIdentical, AcrossThreadCountsSchemesAndPartitionOrder) {
+TEST(PageRankBitIdentical, AcrossSchemesAndPartitionOrder) {
   const auto g = test::small_rmat(700, 9000, 7);
   const grid::GridStore store = test::make_grid(g, 4);
   algos::JobSpec spec;
@@ -372,35 +353,28 @@ TEST(PageRankBitIdentical, AcrossThreadCountsSchemesAndPartitionOrder) {
   spec.damping = 0.85;
   spec.max_iterations = 6;
 
-  // The reference bytes: solo job, ascending partition order, one thread.
-  const auto baseline = run_value_bytes(store, spec, 1, 1, LoaderKind::kDefault).front();
+  // The reference bytes: solo job, ascending partition order.
+  const auto baseline = run_value_bytes(store, spec, 1, LoaderKind::kDefault).front();
   ASSERT_FALSE(baseline.empty());
 
   const auto expect_bytes = [&](const std::vector<std::vector<unsigned char>>& runs,
-                                const char* label, std::size_t threads) {
+                                const char* label) {
     for (std::size_t j = 0; j < runs.size(); ++j) {
       ASSERT_EQ(baseline.size(), runs[j].size()) << label << " job " << j;
       EXPECT_EQ(0, std::memcmp(baseline.data(), runs[j].data(), baseline.size()))
-          << label << " job " << j << " at " << threads
-          << " stream threads: values_span bytes differ";
+          << label << " job " << j << ": values_span bytes differ";
     }
   };
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    // -S: one job, private loader, ascending order.
-    expect_bytes(run_value_bytes(store, spec, 1, threads, LoaderKind::kDefault),
-                 "sequential", threads);
-    // -C: three concurrent jobs with private loaders sharing the engine pool.
-    expect_bytes(run_value_bytes(store, spec, 3, threads, LoaderKind::kDefault),
-                 "concurrent", threads);
-    // -M: three concurrent jobs through the GraphM sharing controller (its
-    // scheduler chooses the loading order).
-    expect_bytes(run_value_bytes(store, spec, 3, threads, LoaderKind::kShared),
-                 "shared", threads);
-    // Adversarial: partitions served in a per-iteration seeded permutation.
-    expect_bytes(run_value_bytes(store, spec, 2, threads, LoaderKind::kPermuted),
-                 "permuted", threads);
-  }
+  // -S: one job, private loader, ascending order.
+  expect_bytes(run_value_bytes(store, spec, 1, LoaderKind::kDefault), "sequential");
+  // -C: three concurrent jobs with private loaders on one engine.
+  expect_bytes(run_value_bytes(store, spec, 3, LoaderKind::kDefault), "concurrent");
+  // -M: three concurrent jobs through the GraphM sharing controller (its
+  // scheduler chooses the loading order).
+  expect_bytes(run_value_bytes(store, spec, 3, LoaderKind::kShared), "shared");
+  // Adversarial: partitions served in a per-iteration seeded permutation.
+  expect_bytes(run_value_bytes(store, spec, 2, LoaderKind::kPermuted), "permuted");
 }
 
 TEST(SchemeEquivalence, StaggeredArrivalsDoNotChangeResults) {

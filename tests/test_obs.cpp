@@ -9,6 +9,7 @@
 // memory stays flat across 100k finishes while small runs keep exact
 // percentiles.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -463,19 +464,36 @@ TEST(StatsCollector, ExactPercentilesBelowTheSampleCap) {
   EXPECT_DOUBLE_EQ(stats.e2e.max_ns, exact.max_ns);
 }
 
+/// Bytes the process's malloc heap has handed out and not yet freed. Under
+/// sanitizer allocators glibc's arenas go unused and this stays flat.
+std::size_t heap_in_use_bytes() { return mallinfo2().uordblks; }
+
 TEST(StatsCollector, MemoryStaysFlatAcross100kFinishes) {
   service::StatsCollector collector;
+  // Every outcome carries a 4 KiB result, like a real job's vertex values:
+  // the collector must not keep a copy of it (the handle owns the result).
+  constexpr std::size_t kResultValues = 512;
   const auto feed = [&collector](std::uint64_t from, std::uint64_t to) {
     for (std::uint64_t i = from; i < to; ++i) {
       collector.on_submit();
       collector.on_start(i * 1000, static_cast<std::uint32_t>(i % 8));
-      collector.on_finish(synthetic_outcome(i, (i * 7919) % 1'000'000),
-                          (i * 7919) % 1'000'000, false, false, i * 1000 + 500,
+      runtime::JobOutcome outcome = synthetic_outcome(i, (i * 7919) % 1'000'000);
+      outcome.result.assign(kResultValues, static_cast<double>(i));
+      collector.on_finish(outcome, (i * 7919) % 1'000'000, false, false, i * 1000 + 500,
                           static_cast<std::uint32_t>(i % 8));
     }
   };
+  const std::size_t heap_before = heap_in_use_bytes();
   feed(0, 10'000);
+  const std::size_t heap_after = heap_in_use_bytes();
+  const std::size_t heap_growth = heap_after > heap_before ? heap_after - heap_before : 0;
   const std::size_t bytes_at_10k = collector.approx_memory_bytes();
+  // Everything the collector keeps is in approx_memory_bytes; a reservoir
+  // pinning the results would hold kSampleCap * 4 KiB = 16 MiB on top.
+  const std::size_t pinned_results =
+      service::StatsCollector::kSampleCap * kResultValues * sizeof(double);
+  EXPECT_LT(heap_growth, bytes_at_10k + pinned_results / 4)
+      << "StatsCollector retained per-job result buffers";
   feed(10'000, 100'000);
   const std::size_t bytes_at_100k = collector.approx_memory_bytes();
   EXPECT_EQ(bytes_at_10k, bytes_at_100k)

@@ -43,9 +43,10 @@ std::vector<double> solo_run(const grid::GridStore& store, const algos::JobSpec&
 }
 
 /// WCC/BFS/SSSP relax via order-independent min/idempotent writes; PageRank's
-/// striped accumulation fixes its summation shape per graph layout. Any group
-/// interleaving — including sharing-scheduler permutations of the partition
-/// order — is therefore bit-identical to a solo run for every algorithm.
+/// partition-grouped accumulation fixes its summation shape per graph
+/// layout. Any group interleaving — including sharing-scheduler permutations
+/// of the partition order — is therefore bit-identical to a solo run for
+/// every algorithm.
 void expect_matches_solo(const grid::GridStore& store, const algos::JobSpec& spec,
                          const std::vector<double>& actual) {
   const auto expected = solo_run(store, spec);

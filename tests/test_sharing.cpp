@@ -182,8 +182,8 @@ TEST(SharingController, ManyJobsProduceCorrectResults) {
     const auto a = algorithms[j]->result();
     const auto b = solo->result();
     // Bit-identical for every kind, PageRank included: the sharing
-    // controller may reorder partition loads, but striped accumulation
-    // makes the summation shape order-independent.
+    // controller may reorder partition loads, but partition-grouped
+    // accumulation makes the summation shape order-independent.
     ASSERT_EQ(a, b) << "job " << j;
   }
 }

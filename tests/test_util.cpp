@@ -7,7 +7,6 @@
 #include "util/bitmap.hpp"
 #include "util/rng.hpp"
 #include "util/table_printer.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace graphm::util {
@@ -169,40 +168,6 @@ TEST(TablePrinter, AlignsColumns) {
 TEST(TablePrinter, FmtPrecision) {
   EXPECT_EQ(TablePrinter::fmt(1.23456, 2), "1.23");
   EXPECT_EQ(TablePrinter::fmt(2.0, 0), "2");
-}
-
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(64);
-  pool.parallel_for(64, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ConcurrentParallelForCallsAreIndependent) {
-  // Several jobs share one engine pool: each parallel_for call must complete
-  // exactly its own indices and return without waiting for the others' work.
-  ThreadPool pool(3);
-  constexpr int kCallers = 6;
-  constexpr std::size_t kN = 200;
-  std::vector<std::atomic<int>> hits(kCallers * kN);
-  std::vector<std::thread> callers;
-  for (int c = 0; c < kCallers; ++c) {
-    callers.emplace_back([&, c] {
-      pool.parallel_for(kN, [&, c](std::size_t i) {
-        hits[static_cast<std::size_t>(c) * kN + i].fetch_add(1);
-      });
-    });
-  }
-  for (auto& t : callers) t.join();
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(Timer, MeasuresElapsed) {
