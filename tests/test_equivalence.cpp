@@ -36,12 +36,19 @@ void expect_same_results(const RunMetrics& a, const RunMetrics& b) {
   }
 }
 
+// gtest names each case by dumping the parameter's raw bytes, so Params must
+// have no padding (padding bytes are indeterminate and would make the test
+// names differ from run to run); `tail` fills what would be padding.
 struct Params {
   std::size_t num_jobs;
   std::uint32_t partitions;
   bool scheduling;
   bool fine_sync;
+  std::uint16_t tail = 0;
 };
+static_assert(sizeof(Params) == sizeof(std::size_t) + sizeof(std::uint32_t) + 2 * sizeof(bool) +
+                                    sizeof(std::uint16_t),
+              "Params must have no padding bytes");
 
 class SchemeEquivalence : public ::testing::TestWithParam<Params> {};
 
