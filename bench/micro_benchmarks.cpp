@@ -129,6 +129,38 @@ void BM_EdgeStreamWordGated(benchmark::State& state) {
 }
 BENCHMARK(BM_EdgeStreamWordGated);
 
+// Graph ingest, the set-up path: the RMAT draw at 1, 2 and 4 slices (the
+// twitter_s shape at scale 0.25), then the grid conversion with and without
+// source grouping (.data/.meta/.deg written to TMPDIR each iteration).
+void BM_GenerateRmat(benchmark::State& state) {
+  const auto slices = static_cast<unsigned>(state.range(0));
+  const auto edges = static_cast<graph::EdgeCount>(state.range(1));
+  for (auto _ : state) {
+    auto g = graph::generate_rmat_sliced(10'425, edges, 7, graph::RmatParams{0.62, 0.19, 0.14},
+                                         slices);
+    benchmark::DoNotOptimize(g.edges().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(1));
+}
+BENCHMARK(BM_GenerateRmat)
+    ->Args({1, 375'000})
+    ->Args({2, 375'000})
+    ->Args({4, 375'000})
+    ->UseRealTime();
+
+void BM_GridPreprocess(benchmark::State& state) {
+  const auto& g = bench_graph();
+  const char* tmp = std::getenv("TMPDIR");
+  const std::string path = std::string(tmp != nullptr ? tmp : "/tmp") + "/graphm_bm_preprocess";
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        grid::GridStore::preprocess(g, 8, path, /*src_sort=*/state.range(0) != 0));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(g.num_edges()));
+}
+BENCHMARK(BM_GridPreprocess)->Arg(0)->Arg(1);
+
 // --------------------------------------------------------------------------
 // Stream-path comparison -> BENCH_stream.json
 // --------------------------------------------------------------------------

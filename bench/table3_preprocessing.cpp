@@ -26,11 +26,10 @@ int main() {
     // read and the P x P block streams written back, at seek-degraded
     // bandwidth. Our measured conversion is in-memory, so the disk part is
     // charged through the platform's cost model (DESIGN.md section 2).
-    // Note: since the block-batched streaming PR the measured conversion also
-    // source-groups each block (GridStore::preprocess src_sort) — a real cost
-    // of our grid format that the paper's GridGraph did not pay. It is a few
-    // percent of the modeled disk term below, so the baseline row is not
-    // materially inflated.
+    // The measured conversion also source-groups each block
+    // (GridStore::preprocess src_sort), which the paper's GridGraph did not
+    // do. The grouping is part of the one counting sort that buckets the
+    // edges, so it adds no pass and does not inflate the baseline row.
     const double kConversionDiskBw = 25.0 * 1024 * 1024;  // block-stream writes seek
     const double conv_disk_s =
         2.0 * graph_bytes / kConversionDiskBw;  // read original + write grid

@@ -20,9 +20,17 @@ struct RmatParams {
 
 /// Recursive-matrix (Kronecker-like) generator: power-law out-degrees,
 /// community structure. num_vertices is rounded up to a power of two
-/// internally; emitted vertex ids stay < num_vertices.
+/// internally; emitted vertex ids stay < num_vertices. Large graphs are
+/// drawn in slices, one per CPU in the process's affinity mask; the edges
+/// depend only on the arguments, never on the slice count.
 EdgeList generate_rmat(VertexId num_vertices, EdgeCount num_edges, std::uint64_t seed,
                        const RmatParams& params = RmatParams{});
+
+/// generate_rmat drawn in `slices` contiguous edge ranges (at most one per
+/// edge), each on its own thread; the caller's thread draws the first. Same
+/// output as generate_rmat for any slice count.
+EdgeList generate_rmat_sliced(VertexId num_vertices, EdgeCount num_edges, std::uint64_t seed,
+                              const RmatParams& params, unsigned slices);
 
 /// Uniform G(n, m) graph.
 EdgeList generate_erdos_renyi(VertexId num_vertices, EdgeCount num_edges, std::uint64_t seed);

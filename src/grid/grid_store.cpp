@@ -2,16 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
+#include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "graph/datasets.hpp"
-#include "util/logging.hpp"
-#include "util/timer.hpp"
 #include "util/annotations.hpp"
+#include "util/logging.hpp"
 
 namespace graphm::grid {
 
@@ -43,88 +43,8 @@ std::uint32_t file_id_for_path(const std::string& path) {
 std::uint64_t GridStore::preprocess(const graph::EdgeList& graph, std::uint32_t num_partitions,
                                     const std::string& path, bool src_sort) {
   if (num_partitions == 0) throw std::invalid_argument("GridStore: num_partitions == 0");
-  util::Timer timer;
-
-  GridMeta meta;
-  meta.num_vertices = graph.num_vertices();
-  meta.num_edges = graph.num_edges();
-  meta.num_partitions = num_partitions;
-  meta.blocks_per_partition = num_partitions;  // P columns per row
-  const std::size_t cells = static_cast<std::size_t>(num_partitions) * num_partitions;
-  meta.block_offsets.assign(cells, 0);
-  meta.block_edges.assign(cells, 0);
-
-  // Counting pass.
-  for (const Edge& e : graph.edges()) {
-    const std::uint32_t i = meta.partition_of(e.src);
-    const std::uint32_t j = meta.partition_of(e.dst);
-    ++meta.block_edges[meta.block_index(i, j)];
-  }
-  std::uint64_t offset = 0;
-  for (std::size_t c = 0; c < cells; ++c) {
-    meta.block_offsets[c] = offset;
-    offset += meta.block_edges[c] * sizeof(Edge);
-  }
-
-  // Bucketing pass (in memory, then one sequential write).
-  std::vector<Edge> data(graph.num_edges());
-  std::vector<std::uint64_t> cursor(meta.block_offsets.begin(), meta.block_offsets.end());
-  for (const Edge& e : graph.edges()) {
-    const std::uint32_t i = meta.partition_of(e.src);
-    const std::uint32_t j = meta.partition_of(e.dst);
-    std::uint64_t& cur = cursor[meta.block_index(i, j)];
-    data[cur / sizeof(Edge)] = e;
-    cur += sizeof(Edge);
-  }
-  // Group each block's edges by source (stable, so the dst-block structure
-  // and the relative order of one source's edges survive). Source-grouped
-  // blocks give the engines long source runs: a frontier word then covers 64
-  // consecutive sources and an inactive source's edges are skipped without
-  // being read.
-  if (src_sort) {
-    for (std::size_t c = 0; c < cells; ++c) {
-      Edge* begin = data.data() + meta.block_offsets[c] / sizeof(Edge);
-      std::stable_sort(begin, begin + meta.block_edges[c],
-                       [](const Edge& a, const Edge& b) { return a.src < b.src; });
-    }
-  }
-
-  // Persisting the grid is part of the conversion the paper's Table 3 times.
-  {
-    std::FILE* f = std::fopen((path + ".data").c_str(), "wb");
-    if (f == nullptr) throw std::runtime_error("GridStore: cannot write " + path + ".data");
-    if (!data.empty() && std::fwrite(data.data(), sizeof(Edge), data.size(), f) != data.size()) {
-      std::fclose(f);
-      throw std::runtime_error("GridStore: short write " + path + ".data");
-    }
-    std::fclose(f);
-  }
-  meta.preprocess_ns = timer.elapsed_ns();
-  {
-    std::FILE* f = std::fopen((path + ".meta").c_str(), "wb");
-    if (f == nullptr) throw std::runtime_error("GridStore: cannot write " + path + ".meta");
-    const std::uint32_t magic = kMetaMagic;
-    std::fwrite(&magic, sizeof(magic), 1, f);
-    std::fwrite(&meta.num_vertices, sizeof(meta.num_vertices), 1, f);
-    std::fwrite(&meta.num_edges, sizeof(meta.num_edges), 1, f);
-    std::fwrite(&meta.num_partitions, sizeof(meta.num_partitions), 1, f);
-    std::fwrite(&meta.preprocess_ns, sizeof(meta.preprocess_ns), 1, f);
-    std::fwrite(meta.block_offsets.data(), sizeof(std::uint64_t), cells, f);
-    std::fwrite(meta.block_edges.data(), sizeof(std::uint64_t), cells, f);
-    std::fclose(f);
-  }
-  {
-    const auto degrees = graph.out_degrees();
-    std::FILE* f = std::fopen((path + ".deg").c_str(), "wb");
-    if (f == nullptr) throw std::runtime_error("GridStore: cannot write " + path + ".deg");
-    if (!degrees.empty() &&
-        std::fwrite(degrees.data(), sizeof(std::uint32_t), degrees.size(), f) != degrees.size()) {
-      std::fclose(f);
-      throw std::runtime_error("GridStore: short write " + path + ".deg");
-    }
-    std::fclose(f);
-  }
-  return meta.preprocess_ns;
+  const storage::StoreLayout layout{num_partitions, /*partitions_by_source=*/true, src_sort};
+  return storage::write_store(graph, layout, kMetaMagic, path, "GridStore");
 }
 
 GridStore GridStore::open(const std::string& path) {
@@ -201,11 +121,10 @@ GridStore GridStore::open(const std::string& path) {
 }
 
 GridStore::GridStore(GridMeta meta, std::string path, std::uint32_t file_id)
-    : meta_(std::move(meta)), path_(std::move(path)), file_id_(file_id) {
-  std::FILE* f = std::fopen((path_ + ".data").c_str(), "rb");
-  if (f == nullptr) throw std::runtime_error("GridStore: cannot open " + path_ + ".data");
-  data_file_ = std::shared_ptr<std::FILE>(f, FdCloser{});
-}
+    : meta_(std::move(meta)),
+      path_(std::move(path)),
+      file_id_(file_id),
+      data_file_(path_ + ".data", "GridStore") {}
 
 std::uint64_t GridStore::read_partition(std::uint32_t i, std::vector<Edge>& out,
                                         sim::Platform& platform, std::uint32_t job_id) const {
@@ -222,13 +141,8 @@ std::uint64_t GridStore::read_edges(std::uint32_t i, EdgeCount first_edge, EdgeC
   const std::uint64_t bytes = count * sizeof(Edge);
 
   // Real read (the data must actually flow — algorithms consume it).
-  {
-    static graphm::Mutex io_mutex;
-    graphm::MutexLock lock(io_mutex);
-    if (std::fseek(data_file_.get(), static_cast<long>(offset), SEEK_SET) != 0 ||
-        std::fread(out, 1, bytes, data_file_.get()) != bytes) {
-      throw std::runtime_error("GridStore: read failed on " + path_);
-    }
+  if (!data_file_.read_exact(out, bytes, offset)) {
+    throw std::runtime_error("GridStore: read failed on " + path_);
   }
 
   // Simulated cost.
@@ -236,13 +150,7 @@ std::uint64_t GridStore::read_edges(std::uint32_t i, EdgeCount first_edge, EdgeC
 }
 
 std::vector<std::uint32_t> GridStore::load_out_degrees() const {
-  std::vector<std::uint32_t> degrees(meta_.num_vertices, 0);
-  std::FILE* f = std::fopen((path_ + ".deg").c_str(), "rb");
-  if (f == nullptr) throw std::runtime_error("GridStore: cannot open " + path_ + ".deg");
-  const std::size_t got = std::fread(degrees.data(), sizeof(std::uint32_t), degrees.size(), f);
-  std::fclose(f);
-  if (got != degrees.size()) throw std::runtime_error("GridStore: truncated " + path_ + ".deg");
-  return degrees;
+  return storage::read_degrees(path_, meta_.num_vertices, "GridStore");
 }
 
 GridStore open_dataset_grid(const std::string& dataset, std::uint32_t num_partitions,

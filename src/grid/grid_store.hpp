@@ -8,8 +8,6 @@
 // can skip inactive rows without touching the file.
 #pragma once
 
-#include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +15,7 @@
 #include "graph/types.hpp"
 #include "sim/platform.hpp"
 #include "storage/store.hpp"
+#include "storage/store_io.hpp"
 
 namespace graphm::grid {
 
@@ -28,11 +27,12 @@ using GridMeta = storage::StoreMeta;
 /// Read-only handle on a preprocessed grid. Thread safe.
 class GridStore final : public storage::PartitionedStore {
  public:
-  /// Buckets `graph` into a P x P grid and writes <path>.{meta,data,deg}.
-  /// Returns the conversion wall time (Table 3's GridGraph row).
-  /// `src_sort` groups each block's edges by source (stable), which is what
-  /// gives the engines long source runs; pass false only to reproduce the
-  /// seed's ungrouped layout (the stream-bench baseline).
+  /// Buckets `graph` into a P x P grid and writes <path>.{meta,data,deg}
+  /// (storage::write_store). Returns the conversion wall time (Table 3's
+  /// GridGraph row). `src_sort` groups each block's edges by source
+  /// (stable), which is what gives the engines long source runs; pass false
+  /// only to reproduce the seed's ungrouped layout (the stream-bench
+  /// baseline).
   static std::uint64_t preprocess(const graph::EdgeList& graph, std::uint32_t num_partitions,
                                   const std::string& path, bool src_sort = true);
 
@@ -54,12 +54,7 @@ class GridStore final : public storage::PartitionedStore {
   GridMeta meta_;
   std::string path_;
   std::uint32_t file_id_;
-  struct FdCloser {
-    void operator()(std::FILE* f) const {
-      if (f != nullptr) std::fclose(f);
-    }
-  };
-  std::shared_ptr<std::FILE> data_file_;
+  storage::DataFile data_file_;
 };
 
 /// Preprocesses (once, cached) the named dataset into the cache dir and opens

@@ -1,16 +1,15 @@
 #include "shard/shard_store.hpp"
 
-#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "graph/datasets.hpp"
-#include "util/logging.hpp"
-#include "util/timer.hpp"
 #include "util/annotations.hpp"
+#include "util/logging.hpp"
 
 namespace graphm::shard {
 
@@ -36,79 +35,9 @@ std::uint32_t file_id_for_path(const std::string& path) {
 std::uint64_t ShardStore::preprocess(const graph::EdgeList& graph, std::uint32_t num_shards,
                                      const std::string& path) {
   if (num_shards == 0) throw std::invalid_argument("ShardStore: num_shards == 0");
-  util::Timer timer;
-
-  storage::StoreMeta meta;
-  meta.num_vertices = graph.num_vertices();
-  meta.num_edges = graph.num_edges();
-  meta.num_partitions = num_shards;
-  meta.blocks_per_partition = 1;
-  meta.partitions_by_source = false;
-  meta.block_offsets.assign(num_shards, 0);
-  meta.block_edges.assign(num_shards, 0);
-
-  const graph::VertexId per =
-      (graph.num_vertices() + num_shards - 1) / std::max<std::uint32_t>(1, num_shards);
-  auto interval_of = [&](graph::VertexId v) {
-    return per == 0 ? 0u : std::min<std::uint32_t>(num_shards - 1, v / per);
-  };
-
-  for (const Edge& e : graph.edges()) ++meta.block_edges[interval_of(e.dst)];
-  std::uint64_t offset = 0;
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    meta.block_offsets[s] = offset;
-    offset += meta.block_edges[s] * sizeof(Edge);
-  }
-
-  // Bucket, then sort each shard by source (GraphChi's invariant).
-  std::vector<Edge> data(graph.num_edges());
-  std::vector<std::uint64_t> cursor(meta.block_offsets.begin(), meta.block_offsets.end());
-  for (const Edge& e : graph.edges()) {
-    std::uint64_t& cur = cursor[interval_of(e.dst)];
-    data[cur / sizeof(Edge)] = e;
-    cur += sizeof(Edge);
-  }
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    Edge* begin = data.data() + meta.block_offsets[s] / sizeof(Edge);
-    std::stable_sort(begin, begin + meta.block_edges[s],
-                     [](const Edge& a, const Edge& b) { return a.src < b.src; });
-  }
-
-  {
-    std::FILE* f = std::fopen((path + ".data").c_str(), "wb");
-    if (f == nullptr) throw std::runtime_error("ShardStore: cannot write " + path + ".data");
-    if (!data.empty() && std::fwrite(data.data(), sizeof(Edge), data.size(), f) != data.size()) {
-      std::fclose(f);
-      throw std::runtime_error("ShardStore: short write " + path + ".data");
-    }
-    std::fclose(f);
-  }
-  meta.preprocess_ns = timer.elapsed_ns();
-  {
-    std::FILE* f = std::fopen((path + ".meta").c_str(), "wb");
-    if (f == nullptr) throw std::runtime_error("ShardStore: cannot write " + path + ".meta");
-    const std::uint32_t magic = kMetaMagic;
-    std::fwrite(&magic, sizeof(magic), 1, f);
-    std::fwrite(&meta.num_vertices, sizeof(meta.num_vertices), 1, f);
-    std::fwrite(&meta.num_edges, sizeof(meta.num_edges), 1, f);
-    std::fwrite(&meta.num_partitions, sizeof(meta.num_partitions), 1, f);
-    std::fwrite(&meta.preprocess_ns, sizeof(meta.preprocess_ns), 1, f);
-    std::fwrite(meta.block_offsets.data(), sizeof(std::uint64_t), num_shards, f);
-    std::fwrite(meta.block_edges.data(), sizeof(std::uint64_t), num_shards, f);
-    std::fclose(f);
-  }
-  {
-    const auto degrees = graph.out_degrees();
-    std::FILE* f = std::fopen((path + ".deg").c_str(), "wb");
-    if (f == nullptr) throw std::runtime_error("ShardStore: cannot write " + path + ".deg");
-    if (!degrees.empty() &&
-        std::fwrite(degrees.data(), sizeof(std::uint32_t), degrees.size(), f) != degrees.size()) {
-      std::fclose(f);
-      throw std::runtime_error("ShardStore: short write " + path + ".deg");
-    }
-    std::fclose(f);
-  }
-  return meta.preprocess_ns;
+  const storage::StoreLayout layout{num_shards, /*partitions_by_source=*/false,
+                                    /*src_sort=*/true};
+  return storage::write_store(graph, layout, kMetaMagic, path, "ShardStore");
 }
 
 ShardStore ShardStore::open(const std::string& path) {
@@ -137,11 +66,10 @@ ShardStore ShardStore::open(const std::string& path) {
 }
 
 ShardStore::ShardStore(storage::StoreMeta meta, std::string path, std::uint32_t file_id)
-    : meta_(std::move(meta)), path_(std::move(path)), file_id_(file_id) {
-  std::FILE* f = std::fopen((path_ + ".data").c_str(), "rb");
-  if (f == nullptr) throw std::runtime_error("ShardStore: cannot open " + path_ + ".data");
-  data_file_ = std::shared_ptr<std::FILE>(f, FdCloser{});
-}
+    : meta_(std::move(meta)),
+      path_(std::move(path)),
+      file_id_(file_id),
+      data_file_(path_ + ".data", "ShardStore") {}
 
 std::uint64_t ShardStore::read_partition(std::uint32_t i, std::vector<Edge>& out,
                                          sim::Platform& platform, std::uint32_t job_id) const {
@@ -156,25 +84,14 @@ std::uint64_t ShardStore::read_edges(std::uint32_t i, graph::EdgeCount first_edg
   if (count == 0) return 0;
   const std::uint64_t offset = meta_.partition_offset(i) + first_edge * sizeof(Edge);
   const std::uint64_t bytes = count * sizeof(Edge);
-  {
-    static graphm::Mutex io_mutex;
-    graphm::MutexLock lock(io_mutex);
-    if (std::fseek(data_file_.get(), static_cast<long>(offset), SEEK_SET) != 0 ||
-        std::fread(out, 1, bytes, data_file_.get()) != bytes) {
-      throw std::runtime_error("ShardStore: read failed on " + path_);
-    }
+  if (!data_file_.read_exact(out, bytes, offset)) {
+    throw std::runtime_error("ShardStore: read failed on " + path_);
   }
   return platform.page_cache().read(file_id_, offset, bytes, job_id);
 }
 
 std::vector<std::uint32_t> ShardStore::load_out_degrees() const {
-  std::vector<std::uint32_t> degrees(meta_.num_vertices, 0);
-  std::FILE* f = std::fopen((path_ + ".deg").c_str(), "rb");
-  if (f == nullptr) throw std::runtime_error("ShardStore: cannot open " + path_ + ".deg");
-  const std::size_t got = std::fread(degrees.data(), sizeof(std::uint32_t), degrees.size(), f);
-  std::fclose(f);
-  if (got != degrees.size()) throw std::runtime_error("ShardStore: truncated " + path_ + ".deg");
-  return degrees;
+  return storage::read_degrees(path_, meta_.num_vertices, "ShardStore");
 }
 
 ShardStore open_dataset_shards(const std::string& dataset, std::uint32_t num_shards,

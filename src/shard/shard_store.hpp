@@ -9,19 +9,19 @@
 // GraphChi without its optional selective scheduling).
 #pragma once
 
-#include <cstdio>
-#include <memory>
 #include <string>
 
 #include "graph/edge_list.hpp"
 #include "storage/store.hpp"
+#include "storage/store_io.hpp"
 
 namespace graphm::shard {
 
 class ShardStore final : public storage::PartitionedStore {
  public:
-  /// Converts `graph` into P shards and writes <path>.{meta,data,deg}.
-  /// Returns the conversion wall time (Table 3 accounting).
+  /// Converts `graph` into P shards and writes <path>.{meta,data,deg}
+  /// (storage::write_store). Returns the conversion wall time (Table 3
+  /// accounting).
   static std::uint64_t preprocess(const graph::EdgeList& graph, std::uint32_t num_shards,
                                   const std::string& path);
 
@@ -44,12 +44,7 @@ class ShardStore final : public storage::PartitionedStore {
   storage::StoreMeta meta_;
   std::string path_;
   std::uint32_t file_id_;
-  struct FdCloser {
-    void operator()(std::FILE* f) const {
-      if (f != nullptr) std::fclose(f);
-    }
-  };
-  std::shared_ptr<std::FILE> data_file_;
+  storage::DataFile data_file_;
 };
 
 /// Preprocesses (once, cached) the named dataset into shards and opens it.

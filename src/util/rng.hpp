@@ -12,11 +12,16 @@ class SplitMix64 {
   explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
 
   std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
+    std::uint64_t z = (state_ += kGamma);
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     return z ^ (z >> 31);
   }
+
+  /// Jumps ahead as if next() had been called n times, in O(1): the state
+  /// is a counter stepping by a fixed odd constant, and next() only mixes
+  /// it. Lets a stream be split into slices that are drawn independently.
+  void discard(std::uint64_t n) { state_ += n * kGamma; }
 
   /// Uniform integer in [0, bound). bound must be > 0.
   std::uint64_t next_below(std::uint64_t bound) { return next() % bound; }
@@ -28,6 +33,8 @@ class SplitMix64 {
   double next_double(double lo, double hi) { return lo + (hi - lo) * next_double(); }
 
  private:
+  static constexpr std::uint64_t kGamma = 0x9E3779B97F4A7C15ULL;
+
   std::uint64_t state_;
 };
 

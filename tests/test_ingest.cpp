@@ -164,5 +164,41 @@ TEST(IngestGolden, ShardEmptyGraph) {
                 {0xcbf29ce484222325ULL, 0x81b169c331cabfa5ULL, 0xda69b3e9979cde85ULL});
 }
 
+TEST(RngJumpAhead, DiscardMatchesRepeatedNext) {
+  for (const std::uint64_t n : {0ULL, 1ULL, 2ULL, 14ULL, 1000ULL, 123'457ULL}) {
+    util::SplitMix64 jumped(99);
+    util::SplitMix64 stepped(99);
+    jumped.discard(n);
+    for (std::uint64_t k = 0; k < n; ++k) stepped.next();
+    for (int k = 0; k < 4; ++k) EXPECT_EQ(jumped.next(), stepped.next()) << "n = " << n;
+  }
+}
+
+TEST(RngJumpAhead, DiscardsAdd) {
+  util::SplitMix64 twice(5);
+  twice.discard(1ULL << 40);
+  twice.discard(3);
+  util::SplitMix64 once(5);
+  once.discard((1ULL << 40) + 3);
+  EXPECT_EQ(twice.next(), once.next());
+}
+
+TEST(RmatSlices, AnySliceCountGivesTheSameEdges) {
+  const graph::RmatParams params{0.62, 0.19, 0.14};
+  // An edge count no slice count below divides evenly.
+  const EdgeList one = graph::generate_rmat_sliced(5000, 100'003, 17, params, 1);
+  EXPECT_EQ(one, graph::generate_rmat(5000, 100'003, 17, params));
+  for (const unsigned slices : {2u, 3u, 7u}) {
+    EXPECT_EQ(graph::generate_rmat_sliced(5000, 100'003, 17, params, slices), one)
+        << slices << " slices";
+  }
+}
+
+TEST(RmatSlices, MoreSlicesThanEdges) {
+  const EdgeList one = graph::generate_rmat_sliced(100, 5, 3, graph::RmatParams{}, 1);
+  EXPECT_EQ(graph::generate_rmat_sliced(100, 5, 3, graph::RmatParams{}, 7), one);
+  EXPECT_EQ(graph::generate_rmat_sliced(100, 0, 3, graph::RmatParams{}, 7).num_edges(), 0u);
+}
+
 }  // namespace
 }  // namespace graphm

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <barrier>
 #include <thread>
 #include <vector>
 
@@ -174,17 +176,24 @@ TEST(WindowedHistogramConcurrency, ParallelRecordersLoseNothing) {
 }
 
 TEST(WindowedHistogramConcurrency, RecordersRaceRotationWithoutLosingRetained) {
-  // Writers sweep time forward together; every sample lands in the current
-  // or previous slot, so none may be dropped and the final ring must hold
-  // everything recorded in the last window span.
+  // Writers sweep time forward together. They meet at a barrier every
+  // sub_span / kThreads samples, so between two barriers the clock moves by
+  // at most one sub-span: a preempted writer's timestamp lags the current
+  // slot by at most one, and every sample lands in the current or previous
+  // slot. None may be dropped, and the final ring must hold everything
+  // recorded in the last window span.
   WindowedHistogram w(4000, 4);
   constexpr int kThreads = 4;
+  constexpr int kPerThread = 5000;
+  const std::uint64_t sync_every = w.sub_span_ns() / kThreads;
+  std::barrier sync(kThreads);
   std::atomic<std::uint64_t> clock{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      for (int i = 0; i < 5000; ++i) {
+      for (int i = 0; i < kPerThread; ++i) {
+        if (static_cast<std::uint64_t>(i) % sync_every == 0) sync.arrive_and_wait();
         const std::uint64_t now = clock.fetch_add(1, std::memory_order_relaxed);
         w.record(now, 1);
       }
