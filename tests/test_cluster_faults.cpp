@@ -170,6 +170,149 @@ TEST(GoldenPin, NoOpFaultAfterCompletionOnlyAppendsFaultRecords) {
 }
 
 // ---------------------------------------------------------------------------
+// Admission pins: trace and per-job outcome hashes of runs that exercise
+// every admission path the golden pins above (all kImmediate) never reach —
+// batch release by k and by timer, EDF with shed-at-dispatch and mid-run
+// aborts, and a batching backend that dies holding jobs. Captured from the
+// build before the admission decisions moved into service::AdmissionCore.
+// ---------------------------------------------------------------------------
+
+/// Relative deadline unit of the deadline pin: about one job's run time.
+constexpr std::uint64_t kDeadlineSlackNs = 1'000'000;
+
+constexpr std::uint64_t kBatchTraceHash = 0xd789f93625aa8a12ULL;
+constexpr std::uint64_t kBatchReportsHash = 0x253f73c52a6baf57ULL;
+constexpr std::uint64_t kDeadlineTraceHash = 0xba87f005cf0fc01aULL;
+constexpr std::uint64_t kDeadlineReportsHash = 0xda9d28311e65ebdaULL;
+constexpr std::uint64_t kBatchFailoverTraceHash = 0x0c09eec978bd19f2ULL;
+constexpr std::uint64_t kBatchFailoverReportsHash = 0xab3ad8979b89a090ULL;
+
+std::vector<Submission> submissions_at(const graph::EdgeList& g,
+                                       const std::vector<std::uint64_t>& arrivals_ns,
+                                       const std::string& dataset) {
+  const auto specs = runtime::paper_mix(arrivals_ns.size(), g.num_vertices(), 9);
+  std::vector<Submission> submissions(arrivals_ns.size());
+  for (std::size_t j = 0; j < arrivals_ns.size(); ++j) {
+    submissions[j].spec = specs[j];
+    submissions[j].arrival_ns = arrivals_ns[j];
+    submissions[j].dataset = dataset;
+  }
+  return submissions;
+}
+
+/// Dispatch time per job id, read from a recorded trace.
+std::vector<std::uint64_t> dispatch_times(const std::vector<TraceRecord>& trace,
+                                          std::size_t jobs) {
+  std::vector<std::uint64_t> at(jobs, ~0ULL);
+  for (const TraceRecord& r : trace) {
+    if (r.code == TraceCode::kJobDispatched && r.job < jobs) at[r.job] = r.t_ns;
+  }
+  return at;
+}
+
+TEST(GoldenPin, BatchUntilKReleasesByCountAndByTimer) {
+  const auto g = test_graph();
+  std::vector<BackendConfig> backends(1);
+  backends[0].dataset = "a";
+  backends[0].num_nodes = 4;
+  backends[0].policy = service::AdmissionPolicy::kBatchUntilK;
+  backends[0].batch_k = 3;
+  backends[0].batch_max_wait_ns = 700'000;
+  ClusterServiceConfig config;
+  config.des.seed = 0xFA11;
+  config.des.record_trace = true;
+  ClusterService service(g, backends, config);
+  // Batches: {0, 0.3, 0.6} by count; {0.9} by timer at 1.6; {2.0, 2.1, 2.2}
+  // by count; {3.5, 3.6} by timer at 4.2; {5.0} by timer at 5.7 (ms).
+  const std::vector<std::uint64_t> arrivals = {0,         300'000,   600'000,   900'000,
+                                               2'000'000, 2'100'000, 2'200'000, 3'500'000,
+                                               3'600'000, 5'000'000};
+  const auto stats = service.run(submissions_at(g, arrivals, "a"));
+  EXPECT_EQ(stats[0].completed, arrivals.size());
+
+  const auto at = dispatch_times(service.last_trace(), arrivals.size());
+  EXPECT_EQ(at[0], 600'000u) << "released when the third job arrived";
+  EXPECT_EQ(at[3], 1'600'000u) << "released by the batch timer";
+  EXPECT_EQ(at[4], 2'200'000u);
+  EXPECT_EQ(at[7], 4'200'000u);
+  EXPECT_EQ(at[9], 5'700'000u);
+
+  EXPECT_EQ(service.last_trace_hash(), kBatchTraceHash);
+  EXPECT_EQ(test::job_reports_hash(service.last_job_reports()), kBatchReportsHash);
+}
+
+TEST(GoldenPin, DeadlinePolicyShedsAtDispatchAndAbortsMidRun) {
+  const auto g = test_graph();
+  std::vector<BackendConfig> backends(1);
+  backends[0].dataset = "a";
+  backends[0].num_nodes = 4;
+  backends[0].max_concurrent = 1;
+  backends[0].policy = service::AdmissionPolicy::kDeadline;
+  backends[0].cancel_past_deadline = true;
+  ClusterServiceConfig config;
+  config.des.seed = 0xFA11;
+  ClusterService service(g, backends, config);
+
+  std::vector<std::uint64_t> arrivals(10);
+  for (std::size_t j = 0; j < arrivals.size(); ++j) arrivals[j] = j * 100'000;
+  auto submissions = submissions_at(g, arrivals, "a");
+  for (std::size_t j = 0; j < submissions.size(); ++j) {
+    // Deadlines loose, tight and none, so EDF reorders the queue, some jobs
+    // expire while queued and some expire while running.
+    if (j % 3 == 2) continue;
+    const std::uint64_t slo = j % 3 == 0 ? kDeadlineSlackNs * (j + 1) : kDeadlineSlackNs / 2;
+    submissions[j].deadline_ns = service::deadline_from(submissions[j].arrival_ns, slo);
+  }
+  service.run(submissions);
+  const auto& reports = service.last_job_reports();
+  EXPECT_GE(count_outcome(reports, service::Outcome::kDeadlineShed), 1u);
+  EXPECT_GE(count_outcome(reports, service::Outcome::kDeadlineAborted), 1u);
+  EXPECT_GE(count_outcome(reports, service::Outcome::kCompleted), 1u);
+
+  EXPECT_EQ(service.last_trace_hash(), kDeadlineTraceHash);
+  EXPECT_EQ(test::job_reports_hash(reports), kDeadlineReportsHash);
+}
+
+TEST(GoldenPin, BatchingBackendDiesHoldingJobs) {
+  const auto g = test_graph();
+  std::vector<BackendConfig> backends(2);
+  for (std::uint32_t b = 0; b < 2; ++b) {
+    backends[b].dataset = "d";
+    backends[b].num_nodes = 4;
+    backends[b].replica_id = b;
+    backends[b].policy = service::AdmissionPolicy::kBatchUntilK;
+    backends[b].batch_k = 4;
+    backends[b].batch_max_wait_ns = 20'000'000;  // outlives the dead declaration
+  }
+  ClusterServiceConfig config;
+  config.des.seed = 0xFA11;
+  config.des.record_trace = true;
+  ClusterService service(g, backends, config);
+
+  FaultPlan plan;
+  FaultEvent crash;
+  crash.kind = FaultKind::kCrash;
+  crash.backend = 0;
+  crash.at_ns = 500'000;
+  crash.duration_ns = 0;  // permanent
+  plan.events.push_back(crash);
+  service.run(replica_submissions(g, 6), plan);
+
+  // Backend 0 held a partial batch when it was declared dead; the drain
+  // re-admitted those jobs on backend 1, past its batching.
+  std::uint64_t drained = 0;
+  for (const TraceRecord& r : service.last_trace()) {
+    if (r.code == TraceCode::kBackendDead) drained += r.detail;
+  }
+  EXPECT_GE(drained, 1u);
+  EXPECT_GE(service.last_fault_stats().redispatched_jobs, 1u);
+  EXPECT_EQ(count_outcome(service.last_job_reports(), service::Outcome::kCompleted), 6u);
+
+  EXPECT_EQ(service.last_trace_hash(), kBatchFailoverTraceHash);
+  EXPECT_EQ(test::job_reports_hash(service.last_job_reports()), kBatchFailoverReportsHash);
+}
+
+// ---------------------------------------------------------------------------
 // Satellite 2: terminal-outcome conservation
 // ---------------------------------------------------------------------------
 

@@ -3,8 +3,10 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "graph/edge_list.hpp"
 #include "graph/generators.hpp"
@@ -34,6 +36,32 @@ inline shard::ShardStore make_shards(const graph::EdgeList& graph, std::uint32_t
   const std::string path = unique_temp_path("shard");
   shard::ShardStore::preprocess(graph, shards, path);
   return shard::ShardStore::open(path);
+}
+
+/// FNV-1a over the eight little-endian bytes of `value`, folded into `hash`.
+/// Golden pins fold fields one at a time so struct padding never leaks in.
+inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
+inline std::uint64_t fnv1a_u64(std::uint64_t value, std::uint64_t hash = kFnvOffset) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xFFu;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+/// Pin of a ClusterService run's per-job terminal records: every field of
+/// every cluster::JobReport, in submission order.
+template <typename Report>
+std::uint64_t job_reports_hash(const std::vector<Report>& reports) {
+  std::uint64_t hash = kFnvOffset;
+  for (const Report& r : reports) {
+    for (const std::uint64_t field :
+         {std::uint64_t{r.job}, static_cast<std::uint64_t>(r.outcome), std::uint64_t{r.shard},
+          std::uint64_t{r.backend}, std::uint64_t{r.attempts}, r.completion_ns}) {
+      hash = fnv1a_u64(field, hash);
+    }
+  }
+  return hash;
 }
 
 /// A small skewed test graph (deterministic).

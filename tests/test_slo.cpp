@@ -516,6 +516,46 @@ TEST(SloClosedLoop, AdaptiveShedsDeadlinelessWorkOnceCritical) {
   EXPECT_EQ(sum, submissions.size()) << "conservation law violated by SLO sheds";
 }
 
+// Trace and per-job outcome pins of kAdaptive runs that go Critical, captured
+// from the build before the admission decisions moved into
+// service::AdmissionCore. The dense burst also overruns the shed quota, so
+// deadlined arrivals shed too.
+constexpr std::uint64_t kAdaptiveTraceHash = 0x6ed4830b37bef80eULL;
+constexpr std::uint64_t kAdaptiveReportsHash = 0x72e7481fe388b30cULL;
+constexpr std::uint64_t kAdaptiveDenseTraceHash = 0xc91fe5a43e4adc45ULL;
+constexpr std::uint64_t kAdaptiveDenseReportsHash = 0x73242923c99803efULL;
+
+TEST(SloClosedLoop, AdaptiveShedRunsMatchGoldenPins) {
+  const auto g = slo_test_graph();
+  auto service = adaptive_service(g);
+
+  service.run(burst_submissions(g, 16, /*slo_ns=*/1'000'000'000));
+  EXPECT_EQ(service.last_slo()->state(), obs::SloState::kCritical);
+  EXPECT_EQ(service.last_trace_hash(), kAdaptiveTraceHash);
+  EXPECT_EQ(test::job_reports_hash(service.last_job_reports()), kAdaptiveReportsHash);
+
+  auto dense = burst_submissions(g, 24, /*slo_ns=*/1'000'000'000);
+  for (std::size_t j = 8; j < dense.size(); ++j) {
+    // After the first completions trip the objective, a burst the two
+    // replicas cannot absorb inside the quota.
+    dense[j].arrival_ns = 3'000'000 + (j - 8) * 10'000;
+    if (dense[j].deadline_ns != service::kNoDeadline) {
+      dense[j].deadline_ns = service::deadline_from(dense[j].arrival_ns, 1'000'000'000);
+    }
+  }
+  service.run(dense);
+  std::uint64_t shed_with_deadline = 0;
+  for (const JobReport& r : service.last_job_reports()) {
+    if (r.outcome == service::Outcome::kSloShed &&
+        dense[r.job].deadline_ns != service::kNoDeadline) {
+      ++shed_with_deadline;
+    }
+  }
+  EXPECT_GE(shed_with_deadline, 1u) << "the quota never shed a deadlined arrival";
+  EXPECT_EQ(service.last_trace_hash(), kAdaptiveDenseTraceHash);
+  EXPECT_EQ(test::job_reports_hash(service.last_job_reports()), kAdaptiveDenseReportsHash);
+}
+
 TEST(SloClosedLoop, ShedDecisionsReplayBitIdentically) {
   const auto g = slo_test_graph();
   auto service = adaptive_service(g);
