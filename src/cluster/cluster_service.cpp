@@ -136,7 +136,7 @@ struct Ticket {
 
 enum class Health : int { kAlive = 0, kSuspect = 1, kDead = 2 };
 
-/// Per-backend serving state for one run(): admission queue + dispatch slots
+/// Per-backend serving state for one run(): admission core + dispatch slots
 /// + sample accumulators + health. Event callbacks hold raw pointers into
 /// the run's deque, which never reallocates elements.
 struct BackendState {
@@ -144,9 +144,7 @@ struct BackendState {
   const BackendConfig* config = nullptr;
   std::unique_ptr<BackendSim> sim;
 
-  std::deque<Ticket*> ready;
-  std::deque<Ticket*> held;  // kBatchUntilK only
-  std::uint64_t batch_epoch = 0;
+  service::AdmissionCore<Ticket*> admission;
   std::size_t running = 0;
 
   Health health = Health::kAlive;
@@ -172,8 +170,7 @@ struct BackendState {
   std::uint64_t last_completion_ns = 0;
   bool saw_arrival = false;
 
-  [[nodiscard]] std::size_t queued() const { return ready.size() + held.size(); }
-  [[nodiscard]] std::size_t outstanding() const { return queued() + running; }
+  [[nodiscard]] std::size_t outstanding() const { return admission.depth() + running; }
 };
 
 /// Everything one run() shares with its event closures. Stack-local in
@@ -222,22 +219,7 @@ void update_slo_capacity(RunContext& ctx) {
                         static_cast<double>(ctx.states.size()));
 }
 
-/// Index of the next job to dispatch under the backend's policy: EDF picks
-/// the tightest real deadline via the shared service::edf_deadline_key
-/// (deadline-less jobs — the service::kNoDeadline sentinel — last, FIFO
-/// among equals); everything else is FIFO. `ready` is in arrival order.
-std::size_t pick_next(const BackendState& state) {
-  if (!service::policy_uses_edf(state.config->policy)) return 0;
-  std::size_t best = 0;
-  auto key = [](const Ticket* t) { return service::edf_deadline_key(t->deadline_ns); };
-  for (std::size_t i = 1; i < state.ready.size(); ++i) {
-    if (key(state.ready[i]) < key(state.ready[best])) best = i;
-  }
-  return best;
-}
-
 void try_dispatch(RunContext& ctx, BackendState& state);
-void admit(RunContext& ctx, BackendState& state, Ticket* t, bool redispatch);
 void retry_later(RunContext& ctx, Ticket* t);
 void reroute(RunContext& ctx, Ticket* t);
 
@@ -326,21 +308,9 @@ void dispatch_one(RunContext& ctx, BackendState& state, Ticket* t) {
 void try_dispatch(RunContext& ctx, BackendState& state) {
   if (state.sim->crashed()) return;  // nothing dispatches into a dead machine
   while (state.running < std::max<std::size_t>(1, state.config->max_concurrent) &&
-         !state.ready.empty()) {
-    const std::size_t index = pick_next(state);
-    Ticket* t = state.ready[index];
-    state.ready.erase(state.ready.begin() + static_cast<std::ptrdiff_t>(index));
-    dispatch_one(ctx, state, t);
+         state.admission.has_ready()) {
+    dispatch_one(ctx, state, state.admission.take());
   }
-}
-
-void release_batch(RunContext& ctx, BackendState& state) {
-  ++state.batch_epoch;  // invalidates any pending flush timer
-  while (!state.held.empty()) {
-    state.ready.push_back(state.held.front());
-    state.held.pop_front();
-  }
-  try_dispatch(ctx, state);
 }
 
 /// Schedules the job's next failover attempt after a capped exponential
@@ -387,71 +357,57 @@ void reroute(RunContext& ctx, Ticket* t) {
   ++state.redispatched_in;
   ctx.loop.trace(TraceCode::kJobRedispatched, state.backend_id, t->id,
                  t->failover_attempts);
-  admit(ctx, state, t, /*redispatch=*/true);
-}
-
-void admit(RunContext& ctx, BackendState& state, Ticket* t, bool redispatch) {
-  EventLoop& loop = ctx.loop;
-  t->backend = state.backend_id;
-  if (!redispatch) {
-    ++state.submitted;
-    if (!state.saw_arrival) {
-      state.saw_arrival = true;
-      state.first_arrival_ns = loop.now_ns();
-    }
-    if (ctx.slo != nullptr && ctx.slo->enabled()) {
-      // The detector is consulted at every arrival (tracking alone — the
-      // evaluation is pure computation, no events, no randomness); only
-      // kAdaptive backends act on it. While Critical, the lowest-priority
-      // work sheds: deadline-less jobs outright, deadlined jobs once the
-      // queue is over quota. Re-opening is the monitor's hysteresis — the
-      // fast window cooling below reopen_burn flips the state back.
-      const obs::SloState slo_state = evaluate_slo(ctx, state);
-      if (state.config->policy == service::AdmissionPolicy::kAdaptive &&
-          slo_state == obs::SloState::kCritical) {
-        const std::size_t quota =
-            state.config->adaptive_queue_quota != 0
-                ? state.config->adaptive_queue_quota
-                : std::max<std::size_t>(1, state.config->max_concurrent);
-        if (t->deadline_ns == service::kNoDeadline || state.queued() >= quota) {
-          ++state.slo_shed;
-          ++ctx.fstats.slo_shed;
-          ctx.slo->count_shed(state.config->dataset);
-          loop.trace(TraceCode::kJobSloShed, state.backend_id, t->id,
-                     static_cast<std::uint64_t>(ctx.slo->worst_eval().fast_burn * 1e3));
-          finish(ctx, t, service::Outcome::kSloShed);
-          return;
-        }
-      }
-    }
-    if (state.queued() >= std::max<std::size_t>(1, state.config->max_queue_depth)) {
-      ++state.rejected;
-      loop.trace(TraceCode::kJobRejected, state.backend_id, t->id, state.queued());
-      finish(ctx, t, service::Outcome::kRejected);
-      return;
-    }
-    if (state.config->policy == service::AdmissionPolicy::kBatchUntilK) {
-      state.held.push_back(t);
-      if (state.held.size() >= std::max<std::size_t>(1, state.config->batch_k)) {
-        release_batch(ctx, state);
-      } else if (state.held.size() == 1) {
-        // The batch timer caps how long the oldest held job waits; a release
-        // in the meantime bumps the epoch and turns this into a no-op.
-        const std::uint64_t epoch = state.batch_epoch;
-        loop.schedule_after(state.config->batch_max_wait_ns, [&ctx, &state, epoch] {
-          if (state.batch_epoch == epoch && !state.held.empty()) {
-            release_batch(ctx, state);
-          }
-        });
-      }
-      return;
-    }
-  }
   // Failover re-admissions skip batching (they have waited enough) and the
   // depth bound (a drained queue must land somewhere, or jobs would be lost
   // to backpressure through no fault of the client's pacing).
-  state.ready.push_back(t);
+  t->backend = state.backend_id;
+  state.admission.requeue(t, t->deadline_ns);
   try_dispatch(ctx, state);
+}
+
+/// A fresh arrival's admission on its routed backend.
+void admit(RunContext& ctx, BackendState& state, Ticket* t) {
+  EventLoop& loop = ctx.loop;
+  t->backend = state.backend_id;
+  ++state.submitted;
+  if (!state.saw_arrival) {
+    state.saw_arrival = true;
+    state.first_arrival_ns = loop.now_ns();
+  }
+  // The detector is consulted at every arrival (tracking alone — the
+  // evaluation is pure computation, no events, no randomness); only kAdaptive
+  // backends act on it.
+  const bool slo_critical = ctx.slo != nullptr && ctx.slo->enabled() &&
+                            evaluate_slo(ctx, state) == obs::SloState::kCritical;
+  switch (state.admission.admit(t, t->deadline_ns, loop.now_ns(), slo_critical)) {
+    case service::Admit::kReady:
+      try_dispatch(ctx, state);
+      return;
+    case service::Admit::kHeld:
+      return;
+    case service::Admit::kBatchOpened:
+      // The batch timer caps how long the oldest held job waits. A batch that
+      // filled (or drained) in the meantime leaves nothing due.
+      loop.schedule_at(state.admission.release_at(), [&ctx, &state] {
+        if (!state.admission.release_due(ctx.loop.now_ns())) return;
+        state.admission.release();
+        try_dispatch(ctx, state);
+      });
+      return;
+    case service::Admit::kRejected:
+      ++state.rejected;
+      loop.trace(TraceCode::kJobRejected, state.backend_id, t->id, state.admission.depth());
+      finish(ctx, t, service::Outcome::kRejected);
+      return;
+    case service::Admit::kSloShed:
+      ++state.slo_shed;
+      ++ctx.fstats.slo_shed;
+      ctx.slo->count_shed(state.config->dataset);
+      loop.trace(TraceCode::kJobSloShed, state.backend_id, t->id,
+                 static_cast<std::uint64_t>(ctx.slo->worst_eval().fast_burn * 1e3));
+      finish(ctx, t, service::Outcome::kSloShed);
+      return;
+  }
 }
 
 /// Declared dead: drain the whole admission queue to surviving replicas.
@@ -461,15 +417,8 @@ void declare_dead(RunContext& ctx, BackendState& state) {
   state.health = Health::kDead;
   ++ctx.fstats.failovers;
   ctx.loop.trace(TraceCode::kBackendDead, state.backend_id, 0,
-                 static_cast<std::uint64_t>(state.queued()));
-  ++state.batch_epoch;  // cancels any pending batch-release timer
-  std::deque<Ticket*> drained;
-  drained.swap(state.ready);
-  while (!state.held.empty()) {
-    drained.push_back(state.held.front());
-    state.held.pop_front();
-  }
-  for (Ticket* t : drained) {
+                 static_cast<std::uint64_t>(state.admission.depth()));
+  for (Ticket* t : state.admission.drain()) {
     if (!t->terminal) reroute(ctx, t);
   }
   update_slo_capacity(ctx);
@@ -593,6 +542,10 @@ std::vector<BackendStats> ClusterService::run(const std::vector<Submission>& sub
     BackendState& state = states.back();
     state.backend_id = static_cast<std::uint32_t>(b);
     state.config = &backends_[b];
+    state.admission = service::AdmissionCore<Ticket*>(
+        {backends_[b].policy, backends_[b].max_queue_depth, backends_[b].batch_k,
+         backends_[b].batch_max_wait_ns, backends_[b].adaptive_queue_quota,
+         backends_[b].max_concurrent});
     if (placement_cache_[b].edge_share.empty()) {
       placement_cache_[b] = vertex_cut_placement(shards_[shard], backends_[b].num_nodes);
     }
@@ -687,7 +640,7 @@ std::vector<BackendStats> ClusterService::run(const std::vector<Submission>& sub
       // replicas serve identical data, other shards do not.
       t->candidates = &shard_replicas_[shard];
       t->profile = &profile_for(shard, submission.spec);
-      admit(ctx, states[target], t, /*redispatch=*/false);
+      admit(ctx, states[target], t);
     });
   }
 

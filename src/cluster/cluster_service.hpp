@@ -6,10 +6,11 @@
 // The dataset is sharded by contiguous source ranges (balanced by edge
 // count), one shard per backend; a submission names its dataset shard and is
 // routed to the backend serving it (unnamed submissions go to the least
-// loaded backend at arrival). Each backend applies its own admission policy —
-// the same kImmediate / kBatchUntilK / kDeadline semantics as
-// service::AdmissionQueue, re-expressed event-driven — ahead of a bounded
-// dispatch-slot pool, and jobs then execute as message-level DES runs
+// loaded backend at arrival). Each backend admits through its own
+// service::AdmissionCore — the one admission implementation, which the live
+// service drives too; here the event loop drives it on the simulated clock —
+// ahead of a bounded dispatch-slot pool, and jobs then execute as
+// message-level DES runs
 // (BackendSim): GraphM-per-node backends (shared_structure = true) load or
 // stream the shard once and attach later arrivals, private backends pay per
 // job. Per backend the service reports the same queue-wait / stream / e2e
@@ -19,7 +20,7 @@
 // Replication and failover (docs/cluster.md, "Fault model"): one shard may be
 // served by N replica backends — reads load-balance to the least-loaded live
 // replica. A heartbeat monitor on the simulated clock walks each backend
-// through alive -> suspect -> dead; a dead backend's admission queue drains to
+// through alive -> suspect -> dead; a dead backend's admission core drains to
 // its surviving replicas, dispatched-but-dead jobs retry with capped
 // exponential backoff under a budget, and a job is shed
 // (service::Outcome::kFailoverShed) only when no live replica remains or the
@@ -53,7 +54,7 @@ namespace graphm::cluster {
 inline constexpr std::uint32_t kNoBackend = 0xFFFFFFFFu;
 
 /// One serving backend: a node slice running one engine kind over one dataset
-/// shard, behind its own admission queue.
+/// shard, behind its own admission core.
 ///
 /// Replication: backends sharing a `dataset` name are replicas of one shard —
 /// they serve identical data and any of them may take a read. Sharding is
@@ -82,7 +83,7 @@ struct BackendConfig {
   /// frees its disk/core/structure reservations early). Off by default —
   /// deadlines then only feed EDF ordering and the miss counter.
   bool cancel_past_deadline = false;
-  /// kAdaptive only: queue depth above which even deadlined arrivals shed
+  /// kAdaptive only: queue depth at which even deadlined arrivals shed
   /// while an objective is Critical (deadline-less arrivals always shed
   /// then). 0 = max_concurrent (one dispatch round of backlog).
   std::size_t adaptive_queue_quota = 0;

@@ -3,26 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstdarg>
-#include <cstdio>
-#include <cstdlib>
 
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
 
 namespace graphm::core {
 
-// GRAPHM_TRACE_SHARING=1 streams every protocol transition (register /
-// advance / load / attach / suspend / barrier / detach) to stderr — the tool
-// that pinpoints lockstep bugs like a former round member re-attaching
-// mid-round. One cached env lookup; disabled it costs a branch. The same
-// transitions also feed the obs tracer as instants (see trace_event).
 namespace {
-bool sharing_trace_enabled() {
-  static const bool enabled = std::getenv("GRAPHM_TRACE_SHARING") != nullptr;
-  return enabled;
-}
-
 std::atomic<std::uint32_t> next_group_id{0};
 }  // namespace
 
@@ -32,15 +19,7 @@ SharingController::SharingController(const storage::PartitionedStore& store, sim
     : store_(store), platform_(platform), chunk_tables_(chunk_tables), options_(options),
       group_id_(next_group_id.fetch_add(1, std::memory_order_relaxed)) {}
 
-void SharingController::trace_event(const char* name, JobId job, std::uint64_t detail,
-                                    const char* fmt, ...) {
-  if (sharing_trace_enabled()) {
-    std::va_list args;
-    va_start(args, fmt);
-    std::vfprintf(stderr, fmt, args);
-    va_end(args);
-    std::fflush(stderr);
-  }
+void SharingController::trace_event(const char* name, JobId job, std::uint64_t detail) {
   obs::Tracer& tracer = obs::Tracer::global();
   if (tracer.enabled()) {
     // Interned once per controller; every caller holds mutex_, which also
@@ -91,7 +70,7 @@ void SharingController::detach_from_round_locked(JobId job) {
 
 void SharingController::job_finished(JobId job) {
   MutexLock lock(mutex_);
-  trace_event("job_finished", job, 0, "[sc] job_finished job=%u\n", job);
+  trace_event("job_finished", job, 0);
   detach_from_round_locked(job);
   // Drop the job's private mutation copies ("the copied chunks will be
   // released when the corresponding job is finished").
@@ -113,8 +92,7 @@ void SharingController::job_finished(JobId job) {
 
 void SharingController::register_iteration(JobId job, const std::vector<PartitionId>& partitions) {
   MutexLock lock(mutex_);
-  trace_event("reg_iter", job, partitions.size(), "[sc] reg_iter job=%u n=%zu\n", job,
-              partitions.size());
+  trace_event("reg_iter", job, partitions.size());
   JobState& state = jobs_[job];
   state.needs = std::set<PartitionId>(partitions.begin(), partitions.end());
   round_cv_.notify_all();
@@ -145,8 +123,7 @@ void SharingController::advance_locked() {
   }
   const std::vector<PartitionId> order = loading_order(table, options_.use_scheduling);
   const PartitionId pid = order.front();
-  trace_event("advance", 0, pid, "[sc] advance pid=%u participants=%zu\n", pid,
-              table.at(pid).size());
+  trace_event("advance", 0, pid);
 
   current_pid_ = pid;
   current_unacquired_.clear();
@@ -202,7 +179,7 @@ std::optional<grid::PartitionView> SharingController::acquire_next(JobId job) {
       current_unreleased_.insert(job);
       ++stats_.attaches;
       ++stats_.mid_round_attaches;
-      trace_event("mid_attach", job, pid, "[sc] mid_attach job=%u pid=%u\n", job, pid);
+      trace_event("mid_attach", job, pid);
       return build_view_locked(job, pid);
     }
     // The job does not participate in the current partition (or has already
@@ -212,9 +189,7 @@ std::optional<grid::PartitionView> SharingController::acquire_next(JobId job) {
       suspended = true;
       ++stats_.suspensions;
     }
-    trace_event("suspend", job, state.needs.size(),
-                "[sc] suspend job=%u cur=%lld needs=%zu\n", job, (long long)current_pid_,
-                state.needs.size());
+    trace_event("suspend", job, state.needs.size());
     lock.wait(round_cv_);
   }
 
@@ -240,7 +215,7 @@ std::optional<grid::PartitionView> SharingController::acquire_next(JobId job) {
       buffer_loaded_ = true;
       buffer_loading_ = false;
       ++stats_.partition_loads;
-      trace_event("load", job, pid, "[sc] load job=%u pid=%u\n", job, pid);
+      trace_event("load", job, pid);
       round_cv_.notify_all();
     } else {
       while (!buffer_loaded_) lock.wait(round_cv_);
@@ -249,15 +224,14 @@ std::optional<grid::PartitionView> SharingController::acquire_next(JobId job) {
   } else {
     ++stats_.attaches;
   }
-  trace_event("acquire", job, pid, "[sc] acquire job=%u pid=%u\n", job, pid);
+  trace_event("acquire", job, pid);
 
   return build_view_locked(job, pid);
 }
 
 void SharingController::release(JobId job, PartitionId pid) {
   MutexLock lock(mutex_);
-  trace_event("release", job, pid, "[sc] release job=%u pid=%u unrel_left=%zu\n", job, pid,
-              current_unreleased_.size() - (current_unreleased_.count(job) ? 1 : 0));
+  trace_event("release", job, pid);
   current_unreleased_.erase(job);
   auto it = jobs_.find(job);
   if (it != jobs_.end()) it->second.needs.erase(pid);
@@ -282,8 +256,7 @@ void SharingController::begin_chunk(JobId job, PartitionId pid, std::uint32_t ch
   // Late mid-round attachers are not barrier members: they free-run over the
   // resident buffer instead of pacing (or corrupting) the lock-step group.
   if (barrier_members_.count(job) == 0) return;
-  trace_event("begin_chunk_wait", job, chunk_id, "[sc] begin_chunk_wait job=%u pid=%u c=%u bc=%u\n",
-              job, pid, chunk_id, barrier_chunk_);
+  trace_event("begin_chunk_wait", job, chunk_id);
   while (static_cast<std::int64_t>(pid) == current_pid_ && barrier_chunk_ < chunk_id) {
     lock.wait(barrier_cv_);
   }
@@ -301,8 +274,7 @@ void SharingController::end_chunk(JobId job, PartitionId pid, std::uint32_t chun
     ++stats_.chunk_barriers;
     return;
   }
-  trace_event("end_chunk", job, chunk_id, "[sc] end_chunk job=%u pid=%u c=%u arrived=%zu/%zu\n",
-              job, pid, chunk_id, barrier_arrived_ + 1, barrier_participants_);
+  trace_event("end_chunk", job, chunk_id);
   if (++barrier_arrived_ == barrier_participants_) {
     barrier_arrived_ = 0;
     barrier_chunk_ = chunk_id + 1;

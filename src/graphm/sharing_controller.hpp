@@ -150,12 +150,10 @@ class SharingController {
 
   void detach_from_round_locked(JobId job) REQUIRES(mutex_);
 
-  /// The sharing trace seam: every protocol transition goes through here.
-  /// Sinks: stderr printf when GRAPHM_TRACE_SHARING is set (the original
-  /// lockstep-debugging stream, preserved verbatim) and an obs instant on
+  /// The sharing trace seam: every protocol transition (register / advance /
+  /// load / attach / suspend / barrier / detach) becomes an obs instant on
   /// this controller's "sharing #N" track when the global tracer is on.
-  void trace_event(const char* name, JobId job, std::uint64_t detail,
-                   const char* fmt, ...) REQUIRES(mutex_);
+  void trace_event(const char* name, JobId job, std::uint64_t detail) REQUIRES(mutex_);
 
   const std::uint32_t group_id_;  // distinguishes controllers' trace tracks
   std::uint32_t trace_track_ GUARDED_BY(mutex_) = 0xFFFFFFFFu;  // lazily interned

@@ -1,6 +1,5 @@
 #include "service/admission.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 namespace graphm::service {
@@ -28,63 +27,31 @@ const char* outcome_name(Outcome outcome) {
   return "?";
 }
 
-AdmissionQueue::AdmissionQueue(Config config) : config_(config) {}
+AdmissionQueue::AdmissionQueue(AdmissionConfig config) : core_(config) {}
 
-bool AdmissionQueue::push(JobRecordPtr job, std::uint64_t now_ns) {
+Admit AdmissionQueue::push(JobRecordPtr job, std::uint64_t now_ns, bool slo_critical) {
   MutexLock lock(mutex_);
-  if (closed_) return false;
-  if (ready_.size() + held_.size() >= config_.max_depth) return false;
-  if (config_.policy == AdmissionPolicy::kBatchUntilK && config_.batch_k > 1) {
-    if (held_.empty()) oldest_held_arrival_ns_ = now_ns;
-    held_.push_back(std::move(job));
-    if (held_.size() >= config_.batch_k) {
-      // Threshold reached: the whole batch becomes dispatchable at once, so
-      // it enters the sharing group at a single point in the stream.
-      for (JobRecordPtr& held : held_) ready_.push_back(std::move(held));
-      held_.clear();
-    }
-  } else {
-    ready_.push_back(std::move(job));
-  }
-  cv_.notify_all();
-  return true;
-}
-
-JobRecordPtr AdmissionQueue::take_locked() {
-  if (policy_uses_edf(config_.policy)) {
-    // EDF: tightest deadline first; deadline-less jobs (the kNoDeadline
-    // sentinel, mapped to +inf by the shared key) last; FIFO (queue order)
-    // among equals.
-    auto best = ready_.begin();
-    auto key = [](const JobRecordPtr& job) { return edf_deadline_key(job->deadline_ns); };
-    for (auto it = std::next(ready_.begin()); it != ready_.end(); ++it) {
-      if (key(*it) < key(*best)) best = it;
-    }
-    JobRecordPtr job = std::move(*best);
-    ready_.erase(best);
-    return job;
-  }
-  JobRecordPtr job = std::move(ready_.front());
-  ready_.pop_front();
-  return job;
+  if (closed_) return Admit::kRejected;
+  const std::uint64_t deadline_ns = job->deadline_ns;
+  const Admit result = core_.admit(std::move(job), deadline_ns, now_ns, slo_critical);
+  if (admitted(result)) cv_.notify_all();
+  return result;
 }
 
 JobRecordPtr AdmissionQueue::pop(const std::function<std::uint64_t()>& now_ns) {
   MutexLock lock(mutex_);
   for (;;) {
-    if (!ready_.empty()) return take_locked();
-    if (!held_.empty()) {
+    if (core_.has_ready()) return core_.take();
+    if (core_.holding()) {
       // A partial batch: dispatch anyway once the oldest member has waited
       // out the batch window (bounded added latency), otherwise sleep until
       // that moment or a state change.
       const std::uint64_t now = now_ns();
-      const std::uint64_t release_at = oldest_held_arrival_ns_ + config_.batch_max_wait_ns;
-      if (closed_ || now >= release_at) {
-        for (JobRecordPtr& held : held_) ready_.push_back(std::move(held));
-        held_.clear();
+      if (closed_ || core_.release_due(now)) {
+        core_.release();
         continue;
       }
-      lock.wait_for(cv_, std::chrono::nanoseconds(release_at - now));
+      lock.wait_for(cv_, std::chrono::nanoseconds(core_.release_at() - now));
       continue;
     }
     if (closed_) return nullptr;
@@ -94,8 +61,7 @@ JobRecordPtr AdmissionQueue::pop(const std::function<std::uint64_t()>& now_ns) {
 
 void AdmissionQueue::flush() {
   MutexLock lock(mutex_);
-  for (JobRecordPtr& held : held_) ready_.push_back(std::move(held));
-  held_.clear();
+  core_.release();
   cv_.notify_all();
 }
 
@@ -107,12 +73,7 @@ void AdmissionQueue::close() {
 
 std::size_t AdmissionQueue::depth() const {
   MutexLock lock(mutex_);
-  return ready_.size() + held_.size();
-}
-
-bool AdmissionQueue::closed() const {
-  MutexLock lock(mutex_);
-  return closed_;
+  return core_.depth();
 }
 
 }  // namespace graphm::service

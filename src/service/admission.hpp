@@ -1,40 +1,14 @@
-// Admission control for the open-loop job service: the bounded submission
-// queue and the policies that decide when a queued job is dispatched into the
-// sharing group.
-//
-// Policies:
-//  * kImmediate    — dispatch as soon as a worker is free; the job attaches
-//                    to the in-flight stream at the next chunk/partition
-//                    boundary (Algorithm 2: the first job loads, later jobs
-//                    attach — taken open-loop).
-//  * kBatchUntilK  — hold arrivals until k are waiting (or the oldest has
-//                    waited batch_max_wait_ns), then release them together.
-//                    Trades queue wait for maximal overlap: a batch enters
-//                    the stream at one point and shares every load.
-//  * kDeadline     — earliest-deadline-first dispatch order (SLO-aware
-//                    grouping): among queued jobs the tightest deadline runs
-//                    next; deadline-less jobs sort last, FIFO among equals.
-//  * kAdaptive     — kDeadline's EDF order, plus closed-loop shedding driven
-//                    by the obs::SloMonitor burn-rate signal: while an
-//                    objective is Critical, the lowest-priority work
-//                    (deadline-less jobs, and over-quota arrivals) is shed
-//                    instead of queued, and admission re-opens hysteretically
-//                    when the burn cools (docs/observability.md, "SLOs and
-//                    error budgets"). The queue itself only provides the
-//                    ordering — the shedding decisions live in the services,
-//                    which own the monitor.
-//
-// Backpressure: the queue is bounded (max_depth); submissions beyond it are
-// rejected at submit() so an overloaded service sheds load at the edge
-// instead of growing an unbounded backlog.
+// The live service's admission queue: a mutex + condition-variable wrapper
+// that lets worker threads block on service::AdmissionCore, which makes
+// every admission decision (policies, deadline convention and backpressure
+// are documented in admission_core.hpp). Also the terminal-outcome and
+// job-record vocabulary the live service and the simulated cluster share.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -44,20 +18,9 @@
 #include "algos/factory.hpp"
 #include "grid/stream_engine.hpp"
 #include "runtime/metrics.hpp"
+#include "service/admission_core.hpp"
 
 namespace graphm::service {
-
-enum class AdmissionPolicy : int {
-  kImmediate = 0,
-  kBatchUntilK = 1,
-  kDeadline = 2,
-  kAdaptive = 3,
-};
-
-/// Policies that dispatch in EDF order (share edf_deadline_key).
-[[nodiscard]] constexpr bool policy_uses_edf(AdmissionPolicy policy) {
-  return policy == AdmissionPolicy::kDeadline || policy == AdmissionPolicy::kAdaptive;
-}
 
 const char* admission_policy_name(AdmissionPolicy policy);
 
@@ -77,39 +40,6 @@ enum class Outcome : int {
 };
 
 const char* outcome_name(Outcome outcome);
-
-// ---------------------------------------------------------------------------
-// Deadline convention (repo-wide, local service and simulated cluster alike):
-// deadline_ns is an absolute clock value and 0 is the reserved "no deadline"
-// sentinel — EDF sorts it last and it can never be missed or aborted. The
-// helpers below are the single definition of that convention; both EDF
-// queues (AdmissionQueue::take_locked and the cluster service's pick_next)
-// sort through edf_deadline_key, and deadline_from() is how real deadlines
-// are derived from now + slo, clamping away the one value (0) that would
-// otherwise silently turn a genuine time-zero deadline into "infinitely
-// lax".
-// ---------------------------------------------------------------------------
-
-/// The "no deadline" sentinel.
-inline constexpr std::uint64_t kNoDeadline = 0;
-
-/// EDF sort key: tightest real deadline first, the sentinel last (mapped to
-/// +inf, so it loses every comparison; FIFO among equals is the queue's
-/// responsibility).
-[[nodiscard]] constexpr std::uint64_t edf_deadline_key(std::uint64_t deadline_ns) {
-  return deadline_ns == kNoDeadline ? std::numeric_limits<std::uint64_t>::max()
-                                    : deadline_ns;
-}
-
-/// Builds an absolute deadline from a clock reading and a relative SLO.
-/// Normalized: a computed deadline of exactly 0 ns (only reachable at clock
-/// origin with a zero SLO) becomes 1 ns — still unmeetable-tight, but a real
-/// deadline rather than the sentinel.
-[[nodiscard]] constexpr std::uint64_t deadline_from(std::uint64_t now_ns,
-                                                    std::uint64_t slo_ns) {
-  const std::uint64_t deadline = now_ns + slo_ns;
-  return deadline == kNoDeadline ? 1 : deadline;
-}
 
 enum class JobState : int { kQueued = 0, kRunning = 1, kDone = 2, kCancelled = 3, kRejected = 4 };
 
@@ -142,18 +72,11 @@ using JobRecordPtr = std::shared_ptr<JobRecord>;
 
 class AdmissionQueue {
  public:
-  struct Config {
-    AdmissionPolicy policy = AdmissionPolicy::kImmediate;
-    std::size_t max_depth = 1024;
-    std::size_t batch_k = 4;
-    std::uint64_t batch_max_wait_ns = 50'000'000;  // 50 ms
-  };
+  explicit AdmissionQueue(AdmissionConfig config);
 
-  explicit AdmissionQueue(Config config);
-
-  /// Enqueues under the policy. Returns false (and leaves the record
-  /// untouched) when the queue is at max_depth — the backpressure reject.
-  bool push(JobRecordPtr job, std::uint64_t now_ns);
+  /// Admits under the policy at `now_ns`; `slo_critical` is the SLO signal
+  /// kAdaptive sheds on. A closed queue rejects everything.
+  Admit push(JobRecordPtr job, std::uint64_t now_ns, bool slo_critical);
 
   /// Blocks until a job is dispatchable, the batch timer says to stop
   /// holding, or the queue is closed. Returns nullptr only when closed and
@@ -168,19 +91,11 @@ class AdmissionQueue {
   void close();
 
   [[nodiscard]] std::size_t depth() const;
-  [[nodiscard]] bool closed() const;
 
  private:
-  /// Removes and returns the next job per policy; ready_ must be non-empty.
-  JobRecordPtr take_locked() REQUIRES(mutex_);
-
-  Config config_;
   mutable Mutex mutex_;
   std::condition_variable cv_;
-  /// Jobs eligible for dispatch. Under kBatchUntilK jobs sit in held_ first.
-  std::deque<JobRecordPtr> ready_ GUARDED_BY(mutex_);
-  std::deque<JobRecordPtr> held_ GUARDED_BY(mutex_);  // kBatchUntilK only
-  std::uint64_t oldest_held_arrival_ns_ GUARDED_BY(mutex_) = 0;
+  AdmissionCore<JobRecordPtr> core_ GUARDED_BY(mutex_);
   bool closed_ GUARDED_BY(mutex_) = false;
 };
 

@@ -33,7 +33,7 @@ JobService::JobService(std::vector<DatasetSpec> datasets, ServiceConfig config)
     : config_(std::move(config)),
       platform_(config_.platform),
       queue_({config_.policy, config_.max_queue_depth, config_.batch_k,
-              config_.batch_max_wait_ns}),
+              config_.batch_max_wait_ns, config_.adaptive_queue_quota, config_.workers}),
       groups_(datasets.size()),
       slo_(config_.objectives) {
   // Open-loop sharing needs mid-stream attach: a job dispatched while the
@@ -84,29 +84,24 @@ JobHandle JobService::submit(const algos::JobSpec& spec, std::uint64_t deadline_
   record->outcome.modeled_cores = config_.modeled_cores;
   record->outcome.arrival_ns = now_ns();
 
-  // Closed-loop shedding (kAdaptive): while the burn-rate signal is
-  // Critical, deadline-less arrivals (lowest priority — they can never miss)
-  // shed outright, and deadlined arrivals shed once the queue is over quota.
-  // Admitting re-opens on its own when the fast window cools below
-  // reopen_burn (the monitor's hysteresis) — no separate open/close state.
-  bool slo_shed = false;
-  if (config_.policy == AdmissionPolicy::kAdaptive && slo_.enabled() &&
-      dataset < datasets_.size()) {
-    if (slo_.evaluate(record->outcome.arrival_ns) == obs::SloState::kCritical) {
-      const std::size_t quota = config_.adaptive_queue_quota != 0
-                                    ? config_.adaptive_queue_quota
-                                    : std::max<std::size_t>(1, config_.workers);
-      slo_shed = deadline_ns == kNoDeadline || queue_.depth() >= quota;
-    }
-  }
+  // Closed-loop shedding (kAdaptive) acts on the burn-rate signal at each
+  // arrival; the admission core decides what sheds. Admitting re-opens on
+  // its own when the fast window cools below reopen_burn (the monitor's
+  // hysteresis) — no separate open/close state.
+  const bool known_dataset = dataset < datasets_.size();
+  const bool slo_critical = config_.policy == AdmissionPolicy::kAdaptive && slo_.enabled() &&
+                            known_dataset &&
+                            slo_.evaluate(record->outcome.arrival_ns) == obs::SloState::kCritical;
 
   {
     MutexLock lock(lifecycle_mutex_);
     ++unfinished_;
   }
-  if (slo_shed || dataset >= datasets_.size() ||
-      shut_down_.load(std::memory_order_acquire) ||
-      !queue_.push(record, record->outcome.arrival_ns)) {
+  Admit admission = Admit::kRejected;
+  if (known_dataset && !shut_down_.load(std::memory_order_acquire)) {
+    admission = queue_.push(record, record->outcome.arrival_ns, slo_critical);
+  }
+  if (!admitted(admission)) {
     {
       MutexLock lock(lifecycle_mutex_);
       --unfinished_;
@@ -117,7 +112,7 @@ JobHandle JobService::submit(const algos::JobSpec& spec, std::uint64_t deadline_
     record->state.store(JobState::kRejected, std::memory_order_release);
     record->cv.notify_all();
     obs::Tracer& tracer = obs::Tracer::global();
-    if (slo_shed) {
+    if (admission == Admit::kSloShed) {
       // Client-visible as a rejection; accounted separately under
       // graphm.slo.<objective>.<dataset>.shed.
       slo_.count_shed(datasets_[dataset].name);

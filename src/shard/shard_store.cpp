@@ -41,28 +41,9 @@ std::uint64_t ShardStore::preprocess(const graph::EdgeList& graph, std::uint32_t
 }
 
 ShardStore ShardStore::open(const std::string& path) {
-  std::FILE* f = std::fopen((path + ".meta").c_str(), "rb");
-  if (f == nullptr) throw std::runtime_error("ShardStore: cannot open " + path + ".meta");
-  storage::StoreMeta meta;
-  meta.blocks_per_partition = 1;
-  meta.partitions_by_source = false;
-  std::uint32_t magic = 0;
-  bool ok = std::fread(&magic, sizeof(magic), 1, f) == 1 && magic == kMetaMagic;
-  ok = ok && std::fread(&meta.num_vertices, sizeof(meta.num_vertices), 1, f) == 1;
-  ok = ok && std::fread(&meta.num_edges, sizeof(meta.num_edges), 1, f) == 1;
-  ok = ok && std::fread(&meta.num_partitions, sizeof(meta.num_partitions), 1, f) == 1;
-  ok = ok && std::fread(&meta.preprocess_ns, sizeof(meta.preprocess_ns), 1, f) == 1;
-  if (ok) {
-    meta.block_offsets.resize(meta.num_partitions);
-    meta.block_edges.resize(meta.num_partitions);
-    ok = std::fread(meta.block_offsets.data(), sizeof(std::uint64_t), meta.num_partitions, f) ==
-             meta.num_partitions &&
-         std::fread(meta.block_edges.data(), sizeof(std::uint64_t), meta.num_partitions, f) ==
-             meta.num_partitions;
-  }
-  std::fclose(f);
-  if (!ok) throw std::runtime_error("ShardStore: corrupt meta " + path);
-  return ShardStore(std::move(meta), path, file_id_for_path(path));
+  return ShardStore(storage::read_store_meta(path, kMetaMagic, /*partitions_by_source=*/false,
+                                             "ShardStore"),
+                    path, file_id_for_path(path));
 }
 
 ShardStore::ShardStore(storage::StoreMeta meta, std::string path, std::uint32_t file_id)

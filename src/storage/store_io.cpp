@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <filesystem>
 #include <initializer_list>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -121,6 +123,81 @@ std::uint64_t write_store(const graph::EdgeList& graph, const StoreLayout& layou
              owner);
   write_file(path + ".deg", {bytes_of(degrees)}, owner);
   return meta.preprocess_ns;
+}
+
+StoreMeta read_store_meta(const std::string& path, std::uint32_t magic,
+                          bool partitions_by_source, const std::string& owner) {
+  const std::string meta_path = path + ".meta";
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(std::fopen(meta_path.c_str(), "rb"),
+                                                          &std::fclose);
+  if (f == nullptr) throw std::runtime_error(owner + ": cannot open " + meta_path);
+  const auto read = [&f](void* dst, std::size_t bytes) {
+    return std::fread(dst, 1, bytes, f.get()) == bytes;
+  };
+  const auto corrupt = [&path, &owner](const std::string& why) {
+    return std::runtime_error(owner + ": corrupt " + path + ": " + why);
+  };
+
+  StoreMeta meta;
+  meta.partitions_by_source = partitions_by_source;
+  std::uint32_t stored_magic = 0;
+  if (!read(&stored_magic, sizeof(stored_magic)) || stored_magic != magic ||
+      !read(&meta.num_vertices, sizeof(meta.num_vertices)) ||
+      !read(&meta.num_edges, sizeof(meta.num_edges)) ||
+      !read(&meta.num_partitions, sizeof(meta.num_partitions)) ||
+      !read(&meta.preprocess_ns, sizeof(meta.preprocess_ns))) {
+    throw corrupt("bad meta header");
+  }
+  const std::uint32_t partitions = meta.num_partitions;
+  if (partitions == 0 || partitions > std::max<VertexId>(1, meta.num_vertices)) {
+    throw corrupt("num_partitions " + std::to_string(partitions) +
+                  " outside [1, max(1, num_vertices)]");
+  }
+  // The meta file must hold exactly the two block arrays, so a corrupt P is
+  // rejected before it sizes an allocation.
+  meta.blocks_per_partition = partitions_by_source ? partitions : 1;
+  const std::size_t cells = static_cast<std::size_t>(partitions) * meta.blocks_per_partition;
+  constexpr std::uint64_t kHeaderBytes = sizeof(stored_magic) + sizeof(meta.num_vertices) +
+                                         sizeof(meta.num_edges) + sizeof(meta.num_partitions) +
+                                         sizeof(meta.preprocess_ns);
+  constexpr std::uint64_t kCellBytes = 2 * sizeof(std::uint64_t);
+  std::error_code ec;
+  const std::uint64_t table_bytes = std::filesystem::file_size(meta_path, ec) - kHeaderBytes;
+  if (ec || table_bytes % kCellBytes != 0 || table_bytes / kCellBytes != cells) {
+    throw corrupt("meta size does not match num_partitions");
+  }
+  meta.block_offsets.resize(cells);
+  meta.block_edges.resize(cells);
+  if (!read(meta.block_offsets.data(), cells * sizeof(std::uint64_t)) ||
+      !read(meta.block_edges.data(), cells * sizeof(std::uint64_t))) {
+    throw corrupt("truncated block table");
+  }
+
+  // Blocks tile the data file row-major: each starts where the previous one
+  // ended (a partition is one contiguous read) and none runs past the end.
+  const std::uint64_t data_bytes = std::filesystem::file_size(path + ".data", ec);
+  if (ec) throw std::runtime_error(owner + ": cannot open " + path + ".data");
+  std::uint64_t end = 0;
+  EdgeCount edges = 0;
+  for (std::size_t c = 0; c < cells; ++c) {
+    if (meta.block_offsets[c] != end) throw corrupt("block offsets not ascending and contiguous");
+    if (meta.block_edges[c] > (data_bytes - end) / sizeof(Edge)) {
+      throw corrupt("block runs past the end of the .data file");
+    }
+    end += meta.block_edges[c] * sizeof(Edge);
+    edges += meta.block_edges[c];
+  }
+  if (edges != meta.num_edges) throw corrupt("block edge counts do not sum to num_edges");
+
+  // A missing .deg only fails read_degrees; one of the wrong size is a
+  // corrupt store.
+  const std::string deg_path = path + ".deg";
+  if (std::filesystem::exists(deg_path, ec) &&
+      std::filesystem::file_size(deg_path, ec) !=
+          std::uint64_t{meta.num_vertices} * sizeof(std::uint32_t)) {
+    throw corrupt(".deg size does not match num_vertices");
+  }
+  return meta;
 }
 
 std::vector<std::uint32_t> read_degrees(const std::string& path, VertexId num_vertices,

@@ -41,6 +41,17 @@ struct StoreLayout {
 std::uint64_t write_store(const graph::EdgeList& graph, const StoreLayout& layout,
                           std::uint32_t magic, const std::string& path, const std::string& owner);
 
+/// Reads and validates the <path>.meta that write_store wrote with `magic`
+/// and `partitions_by_source`, so the read paths can trust it. Rejects,
+/// with a std::runtime_error prefixed by `owner`: a bad header or magic, a
+/// partition count outside [1, max(1, num_vertices)], a meta size that does
+/// not match that count (checked before anything is sized by it), block
+/// offsets that do not tile <path>.data contiguously from 0 or run past its
+/// end, block edge counts that do not sum to num_edges, and a .deg file (if
+/// present) of the wrong size.
+StoreMeta read_store_meta(const std::string& path, std::uint32_t magic,
+                          bool partitions_by_source, const std::string& owner);
+
 /// Reads the .deg file written by write_store: one uint32 per vertex.
 std::vector<std::uint32_t> read_degrees(const std::string& path, graph::VertexId num_vertices,
                                         const std::string& owner);

@@ -76,43 +76,49 @@ T peek(const std::string& bytes, std::size_t offset) {
   return value;
 }
 
+using Corruption = std::function<void(std::string& meta, std::string& data, std::string& deg)>;
+
+/// Writes a copy of the store at `good` with `corrupt` applied and expects
+/// `open` to reject it by the check named in `reason`, not by one that
+/// happens to fire first.
+template <typename Open>
+void expect_open_rejects(const std::string& good, const Open& open, const std::string& reason,
+                         const Corruption& corrupt) {
+  std::string m = read_bytes(good + ".meta");
+  std::string d = read_bytes(good + ".data");
+  std::string dg = read_bytes(good + ".deg");
+  corrupt(m, d, dg);
+  const std::string path = test::unique_temp_path("store_corrupt");
+  write_bytes(path + ".meta", m);
+  write_bytes(path + ".data", d);
+  write_bytes(path + ".deg", dg);
+  try {
+    open(path);
+    ADD_FAILURE() << "open accepted a store with: " << reason;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << "expected '" << reason << "', got: " << e.what();
+  }
+}
+
+// Meta layout of both formats: magic u32 | num_vertices u32 | num_edges u64
+// | num_partitions u32 | preprocess_ns u64 | block_offsets u64[cells] |
+// block_edges u64[cells], with P x P cells in a grid and P in shards.
+constexpr std::size_t kNumVertices = 4;
+constexpr std::size_t kNumEdges = 8;
+constexpr std::size_t kNumPartitions = 16;
+constexpr std::size_t kOffsets = 28;
+
 TEST(FailureInjection, GridOpenRejectsEachCorruptMetaCopy) {
-  // A valid 2x2 grid, then one corrupted copy per open-time check. Meta
-  // layout: magic u32 | num_vertices u32 | num_edges u64 | num_partitions
-  // u32 | preprocess_ns u64 | block_offsets u64[P*P] | block_edges u64[P*P].
-  constexpr std::size_t kNumVertices = 4;
-  constexpr std::size_t kNumEdges = 8;
-  constexpr std::size_t kNumPartitions = 16;
-  constexpr std::size_t kOffsets = 28;
+  // A valid 2x2 grid, then one corrupted copy per open-time check.
   const auto g = test::small_rmat(64, 500);
   const std::string good = test::unique_temp_path("grid_good");
   grid::GridStore::preprocess(g, 2, good);
   ASSERT_NO_THROW(grid::GridStore::open(good));
-  const std::string meta = read_bytes(good + ".meta");
-  const std::string data = read_bytes(good + ".data");
-  const std::string deg = read_bytes(good + ".deg");
-  ASSERT_GT(peek<std::uint64_t>(meta, kOffsets + 8), 0u) << "block (0,1) must start past 0";
-
-  // Each copy must be rejected by the check named in `reason`, not by one
-  // that happens to fire first.
-  const auto expect_rejected = [&](const std::string& reason,
-                                   const std::function<void(std::string&, std::string&,
-                                                            std::string&)>& corrupt) {
-    std::string m = meta;
-    std::string d = data;
-    std::string dg = deg;
-    corrupt(m, d, dg);
-    const std::string path = test::unique_temp_path("grid_corrupt");
-    write_bytes(path + ".meta", m);
-    write_bytes(path + ".data", d);
-    write_bytes(path + ".deg", dg);
-    try {
-      grid::GridStore::open(path);
-      ADD_FAILURE() << "open accepted a store with: " << reason;
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
-          << "expected '" << reason << "', got: " << e.what();
-    }
+  ASSERT_GT(peek<std::uint64_t>(read_bytes(good + ".meta"), kOffsets + 8), 0u)
+      << "block (0,1) must start past 0";
+  const auto expect_rejected = [&good](const std::string& reason, const Corruption& corrupt) {
+    expect_open_rejects(good, grid::GridStore::open, reason, corrupt);
   };
 
   const std::string bad_p = "outside [1, max(1, num_vertices)]";
@@ -131,6 +137,39 @@ TEST(FailureInjection, GridOpenRejectsEachCorruptMetaCopy) {
   });
   expect_rejected("block offsets not ascending", [](std::string& m, std::string&, std::string&) {
     poke<std::uint64_t>(m, kOffsets + 2 * 8, 0);
+  });
+  expect_rejected("past the end of the .data file", [](std::string&, std::string& d,
+                                                      std::string&) {
+    d.resize(d.size() - sizeof(graph::Edge));
+  });
+  expect_rejected("do not sum to num_edges", [](std::string& m, std::string&, std::string&) {
+    poke<std::uint64_t>(m, kNumEdges, peek<std::uint64_t>(m, kNumEdges) + 1);
+  });
+  expect_rejected(".deg size does not match", [](std::string&, std::string&, std::string& dg) {
+    dg.append(sizeof(std::uint32_t), '\0');
+  });
+}
+
+TEST(FailureInjection, ShardOpenRejectsEachCorruptMetaCopy) {
+  // The shard twin of the grid test: 1 x P blocks, same checks. Every case
+  // here is one an unchecked reader would accept; none writes a P large
+  // enough to size a huge allocation.
+  const auto g = test::small_rmat(64, 500);
+  const std::string good = test::unique_temp_path("shard_good");
+  shard::ShardStore::preprocess(g, 2, good);
+  ASSERT_NO_THROW(shard::ShardStore::open(good));
+  ASSERT_GT(peek<std::uint64_t>(read_bytes(good + ".meta"), kOffsets + 8), 0u)
+      << "shard 1 must start past 0";
+  const auto expect_rejected = [&good](const std::string& reason, const Corruption& corrupt) {
+    expect_open_rejects(good, shard::ShardStore::open, reason, corrupt);
+  };
+
+  expect_rejected("outside [1, max(1, num_vertices)]", [](std::string& m, std::string&,
+                                                           std::string&) {
+    poke<std::uint32_t>(m, kNumPartitions, 0);
+  });
+  expect_rejected("block offsets not ascending", [](std::string& m, std::string&, std::string&) {
+    poke<std::uint64_t>(m, kOffsets + 8, 0);
   });
   expect_rejected("past the end of the .data file", [](std::string&, std::string& d,
                                                       std::string&) {

@@ -318,6 +318,21 @@ TEST(Admission, BoundedQueueRejectsWhenFull) {
   EXPECT_EQ(stats.completed + stats.rejected, 9u);
 }
 
+TEST(Admission, ZeroQueueDepthActsAsOne) {
+  // The simulated cluster has always clamped its depth bound to 1; the live
+  // service shares its admission core and so the clamp.
+  const auto g = test::small_rmat(256, 2000);
+  const grid::GridStore store = test::make_grid(g, 2);
+
+  ServiceConfig config;
+  config.workers = 1;
+  config.max_queue_depth = 0;
+  JobService svc(store, config);
+  auto handle = svc.submit(pagerank_spec(1));
+  EXPECT_EQ(handle.await().state.load(), JobState::kDone)
+      << "a depth bound of 0 must still admit one queued job";
+}
+
 // ---------------------------------------------------------------------------
 // Deadlines: shed-at-dispatch and mid-run cancellation through the sharing
 // controller's detach seam (the group must keep going).

@@ -8,7 +8,9 @@ wall-clock        src/cluster/ and src/dist/ are discrete-event-simulated:
                   every timestamp must come from the DES clock. Any wall-clock
                   read (std::chrono::steady_clock / system_clock, time(),
                   gettimeofday, clock_gettime) would break the golden FNV
-                  trace pins.
+                  trace pins. The same holds for the admission core
+                  (src/service/admission_core*), which the DES links: it
+                  takes `now` from its caller and must never read a clock.
 rng               rand()/srand() and raw std::random_device are banned
                   everywhere outside src/util/rng*: all randomness flows from
                   the seeded util::SplitMix64 streams so runs replay
@@ -39,6 +41,8 @@ from typing import Callable, List, NamedTuple
 
 CXX_SUFFIXES = {".hpp", ".cpp", ".h", ".cc", ".cxx"}
 DES_DIRS = ("src/cluster", "src/dist")
+# Files outside DES_DIRS that the DES links, so they obey its wall-clock ban.
+DES_LINKED_GLOBS = ("src/service/admission_core*",)
 RNG_EXEMPT_PREFIX = "src/util/rng"
 
 WALL_CLOCK_PATTERNS = [
@@ -123,7 +127,9 @@ def line_of(text: str, offset: int) -> int:
 
 def check_wall_clock(root: pathlib.Path) -> List[Violation]:
     violations: List[Violation] = []
-    for path in cxx_files(root, list(DES_DIRS)):
+    linked = [p for pattern in DES_LINKED_GLOBS for p in sorted(root.glob(pattern))
+              if p.suffix in CXX_SUFFIXES]
+    for path in cxx_files(root, list(DES_DIRS)) + linked:
         code = strip_comments_and_strings(path.read_text())
         flagged_lines = set()  # the patterns overlap; one finding per line
         for pattern, label in WALL_CLOCK_PATTERNS:

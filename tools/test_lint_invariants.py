@@ -56,6 +56,21 @@ class LintRuleTests(unittest.TestCase):
         self.assertEqual(self.rules_fired(violations), {"wall-clock"})
         self.assertEqual(len(violations), 2)
 
+    def test_wall_clock_fires_in_the_des_linked_admission_core(self) -> None:
+        self.tree.write("src/service/admission_core.hpp", """
+            #include <chrono>
+            inline std::uint64_t now() {
+              return std::chrono::steady_clock::now().time_since_epoch().count();
+            }
+        """)
+        self.tree.write("src/service/admission.cpp", """
+            #include <chrono>
+            auto t = std::chrono::steady_clock::now();  // live wrapper: allowed
+        """)
+        violations = lint.check_wall_clock(self.tree.root)
+        self.assertEqual(self.rules_fired(violations), {"wall-clock"})
+        self.assertEqual([str(v.path) for v in violations], ["src/service/admission_core.hpp"])
+
     def test_wall_clock_ignores_comments_and_non_des_code(self) -> None:
         self.tree.write("src/cluster/ok.cpp", """
             // std::chrono::steady_clock is banned here; the DES clock rules.
