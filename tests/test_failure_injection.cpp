@@ -168,6 +168,12 @@ TEST(FailureInjection, ShardOpenRejectsEachCorruptMetaCopy) {
                                                            std::string&) {
     poke<std::uint32_t>(m, kNumPartitions, 0);
   });
+  expect_rejected("meta size does not match num_partitions", [](std::string& m, std::string&,
+                                                                std::string&) {
+    // One shard where the file holds two: an unchecked reader takes the
+    // first two table words as shard 0's offset and edge count.
+    poke<std::uint32_t>(m, kNumPartitions, 1);
+  });
   expect_rejected("block offsets not ascending", [](std::string& m, std::string&, std::string&) {
     poke<std::uint64_t>(m, kOffsets + 8, 0);
   });
